@@ -14,6 +14,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import FabParams, fab_forward, glorot_uniform, he_uniform
 from .errors import ConfigError, FormatError, ShapeError
@@ -163,8 +164,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlation with zero same-padding, stride 1.
 
     ``kernels`` is (KH, KW, Cin, Cout) with odd KH/KW; output spatial
-    size equals input size. Runs as an im2col matmul; the backward rule
-    scatters through the same column layout.
+    size equals input size. The forward pass is one matmul over im2col
+    columns laid out (KH, KW, Cin) per output pixel (Chellapilla, Puri &
+    Simard, 2006). The backward rule takes the weight gradient from those
+    columns and builds the input gradient from one matmul per kernel tap,
+    added into a padded buffer at the tap's offset; that leg is skipped
+    when ``x`` is untracked.
     """
     n, h, w, cin = x.shape
     kh, kw, kcin, cout = kernels.shape
@@ -177,22 +182,27 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                          f"{cout} output channels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     padded = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    cols = np.concatenate(
-        [padded[:, i:i + h, j:j + w, :] for i in range(kh) for j in range(kw)],
-        axis=3)
-    wmat = kernels.data.reshape(kh * kw * cin, cout)
-    out = (cols.reshape(-1, kh * kw * cin) @ wmat
-           + bias.data.reshape(cout)).reshape(n, h, w, cout)
+    # (N, H, W, Cin, KH, KW) windows -> contiguous (N, H, W, KH, KW, Cin).
+    cols = np.ascontiguousarray(
+        sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        .transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+    kdata = kernels.data
+    wmat = kdata.reshape(kh * kw * cin, cout)
+    out = cols @ wmat
+    out += bias.data.reshape(cout)
+    out = out.reshape(n, h, w, cout)
+    padded_shape = padded.shape
+    need_x = x.tracked
 
     def back(g):
-        g2 = g.reshape(-1, cout)
-        grad_w = (cols.reshape(-1, kh * kw * cin).T @ g2).reshape(kernels.shape)
+        grad_w = (cols.T @ g.reshape(-1, cout)).reshape(kdata.shape)
         grad_b = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
-        grad_padded = np.zeros_like(padded)
+        if not need_x:
+            return (None, grad_w, grad_b)
+        grad_padded = np.zeros(padded_shape)
         for i in range(kh):
             for j in range(kw):
-                grad_padded[:, i:i + h, j:j + w, :] += (
-                    g @ kernels.data[i, j].T)
+                grad_padded[:, i:i + h, j:j + w, :] += g @ kdata[i, j].T
         return (grad_padded[:, ph:ph + h, pw:pw + w, :], grad_w, grad_b)
 
     return _emit("conv2d", (x, kernels, bias), out, back)
@@ -208,19 +218,25 @@ def maxpool2x2(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: extents must be even, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    windows = (x.data.reshape(n, h2, 2, w2, 2, c)
-               .transpose(0, 1, 3, 2, 4, 5)
-               .reshape(n, h2, w2, 4, c))
-    winners = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, winners[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    windows = x.data.reshape(n, h2, 2, w2, 2, c)
+    out = np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1])
+    np.maximum(out, windows[:, :, 1, :, 0], out=out)
+    np.maximum(out, windows[:, :, 1, :, 1], out=out)
 
     def back(g):
-        scattered = np.zeros((n, h2, w2, 4, c))
-        np.put_along_axis(scattered, winners[:, :, :, None, :],
-                          g[:, :, :, None, :], axis=3)
-        return (scattered.reshape(n, h2, w2, 2, 2, c)
-                .transpose(0, 1, 3, 2, 4, 5)
-                .reshape(n, h, w, c),)
+        hit = windows == out[:, :, None, :, None, :]
+        # Keep only each window's first maximum in row-major order.
+        seen = hit[:, :, 0, :, 0].copy()
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            tap = hit[:, :, i, :, j]
+            tap &= ~seen
+            seen |= tap
+        # g at the winners and +0.0 elsewhere, by ANDing the bits of g with
+        # all-ones or all-zeros masks: the bytes of np.where(hit, g, 0.0)
+        # at about half its cost.
+        bits = np.negative(hit.view(np.int8), dtype=np.int64)
+        bits &= g.view(np.int64)[:, :, None, :, None, :]
+        return (bits.view(np.float64).reshape(n, h, w, c),)
 
     return _emit("maxpool2x2", (x,), out, back)
 

@@ -191,14 +191,18 @@ def ew_mul(a: Tensor, b: Tensor) -> Tensor:
     the spatial sum of ``g * a``. No other broadcast is permitted.
     """
     na, ha, wa, ca = a.shape
+    # The rules close over the arrays, not the tensors: a tensor points
+    # at its tape, and tape -> node -> rule -> tensor -> tape would be a
+    # cycle that keeps every finished tape alive until the cyclic GC runs.
+    ad, bd = a.data, b.data
     if a.shape == b.shape:
         def back(g):
-            return (g * b.data, g * a.data)
-        return _emit("ew_mul", (a, b), a.data * b.data, back)
+            return (g * bd, g * ad)
+        return _emit("ew_mul", (a, b), ad * bd, back)
     if b.shape == (na, 1, 1, ca):
         def back(g):
-            return (g * b.data, (g * a.data).sum(axis=(1, 2), keepdims=True))
-        return _emit("ew_mul", (a, b), a.data * b.data, back)
+            return (g * bd, (g * ad).sum(axis=(1, 2), keepdims=True))
+        return _emit("ew_mul", (a, b), ad * bd, back)
     raise ShapeError(f"ew_mul: shapes {tuple(a.shape)} and {tuple(b.shape)} "
                      "are neither equal nor (batch,1,1,channels) gate-compatible")
 

@@ -150,10 +150,49 @@ def _model_for_check(seed: int):
     return build_model(cfg, seed)
 
 
+def _kink_margin(model, x: Tensor) -> float:
+    """Distance of the model's forward pass on ``x`` from its nearest kink.
+
+    That is the smallest |pre-activation| over every ReLU, and the
+    smallest gap between the two largest values of every max-pool window
+    whose maximum is positive (windows of ReLU zeros stay flat).
+    """
+    margins = []
+
+    def checked_relu(pre):
+        margins.append(np.abs(pre.data).min())
+        return relu(pre)
+
+    t = x
+    for i, blk in enumerate(model.config.blocks):
+        t = checked_relu(conv2d(t, model.params[f"block{i}.conv.weight"],
+                                model.params[f"block{i}.conv.bias"]))
+        if blk.pool:
+            n, h, w, c = t.shape
+            windows = np.sort(t.data.reshape(n, h // 2, 2, w // 2, 2, c)
+                              .transpose(0, 1, 3, 5, 2, 4)
+                              .reshape(-1, 4), axis=1)
+            live = windows[:, 3] > 0.0
+            if live.any():
+                margins.append((windows[live, 3] - windows[live, 2]).min())
+            t = maxpool2x2(t)
+    if model.config.use_fab:
+        p = model.fab_params()
+        checked_relu(dense(mean_spatial(t), p.w_reduce, p.b_reduce))
+        t = fab_forward(t, p).out
+    checked_relu(dense(mean_spatial(t), model.params["head.hidden.weight"],
+                       model.params["head.hidden.bias"]))
+    return min(margins)
+
+
 def _check_model_loss(rng):
     seed = int(rng.integers(0, 2 ** 31))
     model = _model_for_check(seed)
-    x = _t(rng.uniform(0.0, 1.0, size=(2, 6, 6, 3)))
+    # Redraw until no ReLU or max-pool decision sits near its kink.
+    for _ in range(64):
+        x = _t(rng.uniform(0.0, 1.0, size=(2, 6, 6, 3)))
+        if _kink_margin(model, x) >= 1e-3:
+            break
     labels = np.array([0, 1])
 
     def wrt_input(leaf):

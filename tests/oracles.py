@@ -44,6 +44,30 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def maxpool2x2_oracle(x: np.ndarray, g: np.ndarray):
+    """2x2 stride-2 max pooling and the gradient of sum(out * g) w.r.t. x.
+
+    Each window's gradient goes to its first maximum in row-major window
+    order; every other position gets +0.0.
+    """
+    n, h, w, c = x.shape
+    out = np.zeros((n, h // 2, w // 2, c))
+    grad = np.zeros_like(x)
+    for i in range(n):
+        for oy in range(h // 2):
+            for ox in range(w // 2):
+                for ch in range(c):
+                    best_y, best_x = 2 * oy, 2 * ox
+                    for dy in range(2):
+                        for dx in range(2):
+                            y, xx = 2 * oy + dy, 2 * ox + dx
+                            if x[i, y, xx, ch] > x[i, best_y, best_x, ch]:
+                                best_y, best_x = y, xx
+                    out[i, oy, ox, ch] = x[i, best_y, best_x, ch]
+                    grad[i, best_y, best_x, ch] = g[i, oy, ox, ch]
+    return out, grad
+
+
 def _sigmoid_scalar(v: float) -> float:
     if v >= 0.0:
         return 1.0 / (1.0 + math.exp(-v))

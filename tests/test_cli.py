@@ -8,6 +8,7 @@ from fabnet.errors import ConfigError
 from fabnet.model import load_checkpoint
 from fabnet.tensor import backward_fault
 from fabnet.training import TrainConfig
+from fabnet.verify import run_suite
 
 SMALL_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -239,3 +240,8 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("ok") >= 13
         assert "FAIL" not in out
+
+    def test_inputs_near_kinks_are_redrawn(self):
+        # Seed 114's first model_loss input puts a ReLU or max-pool decision
+        # within a finite-difference step of its kink.
+        assert all(r.passed for r in run_suite(seed=110, n_seeds=5))

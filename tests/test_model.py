@@ -1,5 +1,7 @@
 """Backbone construction, conv/pool kernels, checkpoints, freezing."""
 
+import gc
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +12,10 @@ from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
                           feature_map_size, load_checkpoint, maxpool2x2,
                           model_forward, parse_blocks, save_checkpoint,
                           trainable_parameters)
-from fabnet.tensor import Tape, Tensor, backward, grad_check, sum_all, tensor_new
+from fabnet.tensor import (Tape, Tensor, _Node, backward, ew_mul, grad_check,
+                           sum_all, tensor_new)
 from fabnet.training import AdamState, adam_step, softmax_cross_entropy
-from oracles import conv2d_oracle
+from oracles import conv2d_oracle, maxpool2x2_oracle
 
 TINY = ModelConfig(input_size=(8, 8),
                    blocks=(ConvBlockSpec(4), ConvBlockSpec(8)),
@@ -131,6 +134,30 @@ class TestConv2d:
             got = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
             assert np.abs(got - conv2d_oracle(x, k, b)).max() <= 1e-12
 
+    def test_untracked_input_gets_no_gradient(self):
+        rng = np.random.default_rng(20)
+        x = rng.uniform(-2, 2, size=(2, 6, 6, 3))
+        k = rng.uniform(-1, 1, size=(3, 3, 3, 4))
+        b = rng.uniform(-1, 1, size=(1, 1, 1, 4))
+        g = rng.uniform(-1, 1, size=(2, 6, 6, 4))
+
+        def legs(track_x):
+            tape = Tape()
+            xt = tensor_new(x.shape, x, track=track_x, tape=tape)
+            kt = tensor_new(k.shape, k, track=True, tape=tape)
+            bt = tensor_new(b.shape, b, track=True, tape=tape)
+            out = conv2d(xt, kt, bt)
+            grads = backward(tape, sum_all(ew_mul(out, Tensor(g))))
+            return tape.nodes[out.node_id].backward(g), grads, xt
+
+        (gx, gw, gb), grads, xt = legs(track_x=True)
+        assert gx is not None and xt.node_id in grads
+        (gx_off, gw_off, gb_off), grads_off, xt_off = legs(track_x=False)
+        assert gx_off is None
+        assert xt_off.node_id is None and None not in grads_off
+        assert gw_off.tobytes() == gw.tobytes()
+        assert gb_off.tobytes() == gb.tobytes()
+
 
 class TestMaxPool:
     def test_single_window(self):
@@ -153,6 +180,25 @@ class TestMaxPool:
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
             maxpool2x2(Tensor(np.zeros((1, 3, 4, 1))))
+
+    def test_matches_loop_oracle_on_ties(self):
+        # Every window over {0, 1, 2}: all-zero windows, and ties between
+        # the maxima at every combination of window positions. Values are
+        # post-ReLU (never -0.0), as the model feeds them.
+        windows = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=4)))
+        rng = np.random.default_rng(21)
+        channels = np.stack([windows, windows[rng.permutation(len(windows))]],
+                            axis=-1)
+        x = (channels.reshape(9, 9, 2, 2, 2).transpose(0, 2, 1, 3, 4)
+             .reshape(1, 18, 18, 2))
+        g = rng.uniform(-1, 1, size=(1, 9, 9, 2))
+        want_out, want_grad = maxpool2x2_oracle(x, g)
+        tape = Tape()
+        xt = tensor_new(x.shape, x, track=True, tape=tape)
+        out = maxpool2x2(xt)
+        grads = backward(tape, sum_all(ew_mul(out, Tensor(g))))
+        assert out.data.tobytes() == want_out.tobytes()
+        assert grads[xt.node_id].data.tobytes() == want_grad.tobytes()
 
 
 class TestCheckpoint:
@@ -240,3 +286,32 @@ class TestBlockParsing:
     def test_bad_count(self):
         with pytest.raises(ConfigError):
             parse_blocks("sixteen:pool")
+
+
+class TestTapeLifetime:
+    def test_finished_tapes_are_freed_without_cycle_collection(self):
+        # A reference cycle through a tape would keep each step's tape,
+        # with its im2col columns and activations, alive until the cyclic
+        # GC runs. DEBUG_SAVEALL keeps whatever that GC finds for counting.
+        m = build_model(ModelConfig(), seed=22)
+        x = Tensor(np.random.default_rng(23).uniform(0, 1, size=(2, 32, 32, 3)))
+        labels = np.array([0, 1])
+        was_enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        start = len(gc.garbage)
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(2):
+                tape = Tape()
+                m.watch_trainable(tape)
+                backward(tape, softmax_cross_entropy(model_forward(m, x), labels))
+            del tape
+            gc.collect()
+            leaked = sum(isinstance(o, (Tape, _Node)) for o in gc.garbage[start:])
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+            if was_enabled:
+                gc.enable()
+        assert leaked == 0
