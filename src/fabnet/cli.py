@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -46,6 +47,19 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected true/false, got {value!r}")
 
 
+_RUN_MINIMUMS = {"batch_size": 1, "max_epochs": 1, "image_size": 1,
+                 "head_hidden": 1, "fab_ratio": 1, "seed": 0}
+
+
+def _check_run_value(key: str, value) -> None:
+    """Reject a setting the library would fail on later or train with silently."""
+    if key == "learning_rate" and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"learning_rate must be finite and > 0, got {value!r}")
+    least = _RUN_MINIMUMS.get(key)
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+
+
 def load_run_config(path) -> RunConfig:
     """Parse a flat key=value file with '#' comments; unknown keys fail."""
     cfg = RunConfig()
@@ -69,8 +83,11 @@ def load_run_config(path) -> RunConfig:
                 parsed = value
             else:
                 parsed = int(value)
+            _check_run_value(key, parsed)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         setattr(cfg, key, parsed)
     return cfg
 
@@ -95,6 +112,12 @@ def _train_config(run: RunConfig) -> TrainConfig:
 
 
 def cmd_synth(args) -> int:
+    for flag, value, least in (("--classes", args.classes, 2),
+                               ("--per-class", args.per_class, 1),
+                               ("--size", args.size, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     manifest = synth_generate(args.out, args.classes, args.per_class,
                               (args.size, args.size), args.seed)
     print(manifest)
@@ -108,6 +131,7 @@ def cmd_train(args) -> int:
     if args.freeze_backbone:
         run.freeze_backbone = True
     if args.seed is not None:
+        _check_run_value("seed", args.seed)
         run.seed = args.seed
 
     manifest = load_manifest(args.data)

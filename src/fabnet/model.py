@@ -9,6 +9,8 @@ learning.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -91,11 +93,27 @@ class Model:
             ratio=self.config.fab_ratio,
         )
 
-    def watch_trainable(self, tape: Tape) -> None:
-        """Register every trainable parameter as a leaf of ``tape``."""
-        for name, t in self.params.items():
-            if self.trainable[name]:
-                tape.watch(t)
+    def watch_trainable(self, tape: Tape) -> contextlib.ExitStack:
+        """Register every trainable parameter as a leaf of ``tape``.
+
+        Returns a context whose exit unbinds those parameters again
+        (``tape``/``node_id`` back to ``None``), so in
+        ``with model.watch_trainable(tape): ...`` the binding, and with it
+        the tape, lasts one step. A caller that ignores the return value
+        keeps the parameters bound until they are next watched.
+        """
+        watched = [t for name, t in self.params.items() if self.trainable[name]]
+        for t in watched:
+            tape.watch(t)
+        scope = contextlib.ExitStack()
+        scope.callback(_unwatch, watched)
+        return scope
+
+
+def _unwatch(tensors) -> None:
+    for t in tensors:
+        t.tape = None
+        t.node_id = None
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
@@ -333,19 +351,32 @@ def _config_from_text(text: str) -> tuple:
 
 
 def save_checkpoint(m: Model, path) -> None:
-    """Write the model as little-endian binary; round trips are bit-exact."""
+    """Write the model as little-endian binary; round trips are bit-exact.
+
+    The bytes go to a temporary file next to ``path`` that replaces it
+    only once complete, so a failed write leaves any previous checkpoint
+    as it was and no partial file behind.
+    """
     text = _config_text(m.config, m.class_names).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(text)))
-        fh.write(text)
-        for name, t in m.params.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<4Q", *t.shape))
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(text)))
+            fh.write(text)
+            for name, t in m.params.items():
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<4Q", *t.shape))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Model:

@@ -34,8 +34,10 @@ class Tensor:
 
     ``data`` is row-major (batch, height, width, channel). Tensors are
     value-immutable once created; only the optimizer mutates parameter
-    data, under exclusive ownership. ``tape``/``node_id`` are rebound
-    each forward pass when a persistent tensor is watched on a new tape.
+    data, under exclusive ownership. ``tape``/``node_id`` tie a tensor to
+    the tape that recorded it; a persistent parameter is bound only while
+    it is watched, for the scope given by ``Model.watch_trainable``, and
+    is untracked (both ``None``) outside it.
     """
 
     __slots__ = ("data", "tape", "node_id")
@@ -104,7 +106,9 @@ class Tape:
     Node ids are assigned in creation order, so every operand id is
     smaller than its consumer's id and a single reverse sweep visits
     each node exactly once. A tape is owned by one forward/backward
-    pass and discarded afterwards.
+    pass: training watches the parameters on a fresh tape for one step
+    and unbinds them when the step ends, so nothing recorded later lands
+    on it and it is freed with the step's locals.
     """
 
     __slots__ = ("nodes",)

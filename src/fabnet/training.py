@@ -148,6 +148,38 @@ def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray,
     return total_loss / len(y), preds
 
 
+def _train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
+                state: AdamState, cfg: TrainConfig, epoch: int,
+                batch_no: int):
+    """One Adam step on one batch; returns (loss, correct predictions).
+
+    The parameters are bound to this step's tape only while the step
+    runs, so its tape, logits, loss and gradients are all unreachable once
+    it returns.
+    """
+    tape = Tape()
+    with model.watch_trainable(tape):
+        logits = model_forward(model, Tensor(xb))
+        loss = softmax_cross_entropy(logits, yb)
+        loss_value = loss.item()
+        if not np.isfinite(loss_value):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}, "
+                                  f"batch {batch_no}")
+        correct = int(np.sum(np.argmax(
+            logits.data.reshape(len(yb), -1), axis=1) == yb))
+        trainable = trainable_parameters(model)
+        if trainable:
+            grad_map = tape_backward(tape, loss)
+            grads = {}
+            for name, tensor in trainable:
+                g = grad_map.get(tensor.node_id)
+                grads[name] = (g.data if g is not None
+                               else np.zeros_like(tensor.data))
+            adam_step(trainable, grads, state, cfg.learning_rate,
+                      cfg.beta1, cfg.beta2, cfg.epsilon)
+    return loss_value, correct
+
+
 def train(model: Model, data: SplitData, cfg: TrainConfig):
     """Run the full optimization schedule; returns (model, EpochCurve).
 
@@ -164,29 +196,11 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
         for batch_no, batch in enumerate(
                 batch_iterator(np.arange(n_train), cfg.batch_size,
                                cfg.seed, epoch)):
-            xb = data.train_x[batch]
             yb = data.train_y[batch]
-            tape = Tape()
-            model.watch_trainable(tape)
-            logits = model_forward(model, Tensor(xb))
-            loss = softmax_cross_entropy(logits, yb)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}, "
-                                      f"batch {batch_no}")
+            loss_value, hits = _train_step(model, data.train_x[batch], yb,
+                                           state, cfg, epoch, batch_no)
             loss_sum += loss_value * len(yb)
-            correct += int(np.sum(np.argmax(
-                logits.data.reshape(len(yb), -1), axis=1) == yb))
-            trainable = trainable_parameters(model)
-            if trainable:
-                grad_map = tape_backward(tape, loss)
-                grads = {}
-                for name, tensor in trainable:
-                    g = grad_map.get(tensor.node_id)
-                    grads[name] = (g.data if g is not None
-                                   else np.zeros_like(tensor.data))
-                adam_step(trainable, grads, state, cfg.learning_rate,
-                          cfg.beta1, cfg.beta2, cfg.epsilon)
+            correct += hits
         val_loss, val_preds = _forward_dataset(model, data.test_x, data.test_y)
         curve.records.append(EpochRecord(
             epoch=epoch,

@@ -1,8 +1,14 @@
 """End-to-end CLI behaviour: flags, files, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fabnet
 from fabnet.cli import RunConfig, load_run_config, main
 from fabnet.errors import ConfigError
 from fabnet.model import load_checkpoint
@@ -245,3 +251,50 @@ class TestGradcheck:
         # Seed 114's first model_loss input puts a ReLU or max-pool decision
         # within a finite-difference step of its kink.
         assert all(r.passed for r in run_suite(seed=110, n_seeds=5))
+
+
+BAD_INPUTS = [
+    ("synth", ["--classes", "1"]),
+    ("synth", ["--per-class", "0"]),
+    ("synth", ["--size", "0"]),
+    ("synth", ["--seed", "-1"]),
+    ("train", "learning_rate=-1"),
+    ("train", "learning_rate=0"),
+    ("train", "learning_rate=nan"),
+    ("train", "learning_rate=inf"),
+    ("train", "batch_size=0"),
+    ("train", "max_epochs=0"),
+    ("train", "image_size=0"),
+    ("train", "head_hidden=0"),
+    ("train", "fab_ratio=0"),
+    ("train", "seed=-1"),
+    ("train", ["--seed", "-1"]),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command, bad", BAD_INPUTS, ids=lambda v: (
+        v if isinstance(v, str) else " ".join(v)))
+    def test_one_error_line_no_traceback(self, command, bad, cli_workspace,
+                                         tmp_path):
+        # Run the real entry point so an escaping exception would show up
+        # as a traceback on stderr and a different exit code.
+        if command == "synth":
+            argv = ["synth", "--out", str(tmp_path / "ds")] + bad
+        else:
+            argv = ["train", "--data", str(cli_workspace / "ds" / "manifest.csv"),
+                    "--out", str(tmp_path / "run")]
+            if isinstance(bad, str):
+                (tmp_path / "bad.cfg").write_text(bad + "\n")
+                argv += ["--config", str(tmp_path / "bad.cfg")]
+            else:
+                argv += bad
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fabnet.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "fabnet.cli"] + argv,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "run").exists()

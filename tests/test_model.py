@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,29 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(12).uniform(0, 1, size=(1, 8, 8, 3)))
         assert np.array_equal(model_forward(loaded, x).data,
                               model_forward(m, x).data)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "model.fabn"
+        save_checkpoint(build_model(TINY, seed=12), path)
+        before = path.read_bytes()
+
+        real_pack = struct.pack
+        calls = itertools.count()
+
+        def failing_pack(fmt, *values):
+            # The header packs the version and the config length; fail on
+            # the first parameter record after it.
+            if next(calls) == 2:
+                raise OSError("disk full")
+            return real_pack(fmt, *values)
+
+        monkeypatch.setattr(struct, "pack", failing_pack)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(TINY, seed=13), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.fabn"]
 
 
 class TestFreezing:

@@ -1,5 +1,7 @@
 """Loss, optimizer, training loop, metrics, and the paired ablation."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,31 @@ class TestTrainLoop:
         final = curve.records[-1].train_acc
         assert final > 0.9
         assert final == 1.0   # pinned at first build
+
+    def test_no_tape_outlives_training(self, monkeypatch):
+        # A parameter left bound to the last step's tape would make every
+        # later forward pass record onto it and keep its activations alive.
+        data = tiny_data(seed=4)
+        gc.collect()
+        tapes_before = sum(isinstance(o, Tape) for o in gc.get_objects())
+        m, _ = train(build_model(TINY, seed=4), data,
+                     TrainConfig(learning_rate=1e-3, max_epochs=2, seed=4))
+        gc.collect()
+        assert sum(isinstance(o, Tape) for o in gc.get_objects()) == tapes_before
+        for t in m.params.values():
+            assert t.tape is None and t.node_id is None
+
+        recorded = []
+        real_record = Tape.record
+
+        def spy(self, op, parents, backward):
+            recorded.append(op)
+            return real_record(self, op, parents, backward)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        for _ in range(3):
+            evaluate(m, data.test_x, data.test_y)
+        assert recorded == []
 
 
 class TestEvaluate:
