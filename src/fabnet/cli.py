@@ -14,7 +14,7 @@ from .data import (SplitSpec, decode_image, load_manifest, load_samples,
                    preprocess, stratified_split, synth_generate)
 from .errors import ConfigError, FabnetError
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
-                    parse_blocks, save_checkpoint)
+                    parse_blocks, parse_bool, save_checkpoint)
 from .tensor import Tensor
 from .training import (SplitData, TrainConfig, evaluate, softmax_probabilities,
                        train)
@@ -37,14 +37,6 @@ class RunConfig:
     head_hidden: int = 64
     blocks: str = DEFAULT_BLOCKS
     seed: int = 0
-
-
-def _parse_bool(value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ConfigError(f"expected true/false, got {value!r}")
 
 
 _RUN_MINIMUMS = {"batch_size": 1, "max_epochs": 1, "image_size": 1,
@@ -77,7 +69,7 @@ def load_run_config(path) -> RunConfig:
             if key in ("learning_rate",):
                 parsed = float(value)
             elif key in ("use_fab", "freeze_backbone"):
-                parsed = _parse_bool(value)
+                parsed = parse_bool(value)
             elif key == "blocks":
                 parse_blocks(value)
                 parsed = value

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attention import FabParams, fab_forward, glorot_uniform, he_uniform
+from .attention import (FabParams, fab_forward, fab_init, glorot_uniform,
+                        he_uniform)
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import Shape4, Tape, Tensor, dense, mean_spatial, relu, _emit
 
@@ -66,6 +67,8 @@ def validate_config(cfg: ModelConfig) -> None:
         raise ConfigError("at least one conv block is required")
     if any(b.out_channels < 1 for b in cfg.blocks):
         raise ConfigError("block channel counts must be >= 1")
+    if cfg.in_channels < 1 or cfg.head_hidden < 1:
+        raise ConfigError("in_channels and head_hidden must be >= 1")
     if cfg.use_fab:
         c = cfg.blocks[-1].out_channels
         if cfg.fab_ratio < 1 or c % cfg.fab_ratio != 0:
@@ -124,58 +127,80 @@ def _param_rng(seed: int, name: str) -> np.random.Generator:
                                spawn_key=(zlib.crc32(name.encode("utf-8")),)))
 
 
+def param_table(cfg: ModelConfig) -> dict:
+    """Ordered ``name -> (shape, trainable)`` of every parameter ``cfg`` wires.
+
+    This is the one source of parameter names, shapes, order and trainable
+    flags: ``build_model`` fills it by drawing, ``load_checkpoint`` from a
+    file. Raises ConfigError if ``cfg`` is invalid.
+    """
+    validate_config(cfg)
+    table: dict = {}
+    backbone = not cfg.freeze_backbone
+    c_in = cfg.in_channels
+    for i, blk in enumerate(cfg.blocks):
+        c_out = blk.out_channels
+        table[f"block{i}.conv.weight"] = ((3, 3, c_in, c_out), backbone)
+        table[f"block{i}.conv.bias"] = ((1, 1, 1, c_out), backbone)
+        c_in = c_out
+    if cfg.use_fab:
+        mid = c_in // cfg.fab_ratio
+        table["fab.reduce.weight"] = ((1, 1, mid, c_in), True)
+        table["fab.reduce.bias"] = ((1, 1, 1, mid), True)
+        table["fab.expand.weight"] = ((1, 1, c_in, mid), True)
+        table["fab.expand.bias"] = ((1, 1, 1, c_in), True)
+    hidden, classes = cfg.head_hidden, cfg.num_classes
+    table["head.hidden.weight"] = ((1, 1, hidden, c_in), True)
+    table["head.hidden.bias"] = ((1, 1, 1, hidden), True)
+    table["head.out.weight"] = ((1, 1, classes, hidden), True)
+    table["head.out.bias"] = ((1, 1, 1, classes), True)
+    return table
+
+
+def _check_class_names(cfg: ModelConfig, class_names) -> list:
+    if class_names is None:
+        return [f"class{i:02d}" for i in range(cfg.num_classes)]
+    if len(class_names) != cfg.num_classes:
+        raise ConfigError(f"{len(class_names)} class names for "
+                          f"{cfg.num_classes} classes")
+    return list(class_names)
+
+
+def _model_from_table(cfg: ModelConfig, class_names, table: dict,
+                      values: dict) -> Model:
+    """A Model whose parameters follow ``table``'s order, from ``values``."""
+    return Model(cfg, class_names,
+                 {name: Tensor(values[name]) for name in table},
+                 {name: trainable for name, (_, trainable) in table.items()})
+
+
 def build_model(cfg: ModelConfig, seed: int, class_names=None) -> Model:
     """Deterministically initialize a model for ``cfg``.
 
     Conv and hidden dense weights are He-uniform, the output layer is
-    Glorot-uniform, and all biases start at zero.
+    Glorot-uniform, the attention block comes from ``fab_init``, and all
+    biases start at zero. Each weight group draws from its own stream.
     """
-    validate_config(cfg)
-    if class_names is None:
-        class_names = [f"class{i:02d}" for i in range(cfg.num_classes)]
-    if len(class_names) != cfg.num_classes:
-        raise ConfigError(f"{len(class_names)} class names for "
-                          f"{cfg.num_classes} classes")
-
-    params: dict = {}
-    trainable: dict = {}
-
-    def add(name, data, is_trainable=True):
-        params[name] = Tensor(data)
-        trainable[name] = is_trainable
-
-    backbone_trainable = not cfg.freeze_backbone
-    c_in = cfg.in_channels
-    for i, blk in enumerate(cfg.blocks):
-        rng = _param_rng(seed, f"block{i}")
-        fan_in = 3 * 3 * c_in
-        add(f"block{i}.conv.weight",
-            he_uniform(rng, fan_in, (3, 3, c_in, blk.out_channels)),
-            backbone_trainable)
-        add(f"block{i}.conv.bias", np.zeros((1, 1, 1, blk.out_channels)),
-            backbone_trainable)
-        c_in = blk.out_channels
-
+    table = param_table(cfg)
+    class_names = _check_class_names(cfg, class_names)
+    values = {name: np.zeros(shape) for name, (shape, _) in table.items()}
+    for i in range(len(cfg.blocks)):
+        name = f"block{i}.conv.weight"
+        shape = table[name][0]
+        values[name] = he_uniform(_param_rng(seed, f"block{i}"),
+                                  shape[0] * shape[1] * shape[2], shape)
     if cfg.use_fab:
-        mid = c_in // cfg.fab_ratio
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed,
-                                   spawn_key=(zlib.crc32(b"fab"),)))
-        add("fab.reduce.weight", he_uniform(rng, c_in, (1, 1, mid, c_in)))
-        add("fab.reduce.bias", np.zeros((1, 1, 1, mid)))
-        add("fab.expand.weight", glorot_uniform(rng, mid, c_in, (1, 1, c_in, mid)))
-        add("fab.expand.bias", np.zeros((1, 1, 1, c_in)))
-
-    rng = _param_rng(seed, "head.hidden")
-    add("head.hidden.weight", he_uniform(rng, c_in, (1, 1, cfg.head_hidden, c_in)))
-    add("head.hidden.bias", np.zeros((1, 1, 1, cfg.head_hidden)))
-    rng = _param_rng(seed, "head.out")
-    add("head.out.weight",
-        glorot_uniform(rng, cfg.head_hidden, cfg.num_classes,
-                       (1, 1, cfg.num_classes, cfg.head_hidden)))
-    add("head.out.bias", np.zeros((1, 1, 1, cfg.num_classes)))
-
-    return Model(cfg, class_names, params, trainable)
+        fab = fab_init(cfg.blocks[-1].out_channels, cfg.fab_ratio,
+                       _param_rng(seed, "fab"))
+        values["fab.reduce.weight"] = fab.w_reduce.data
+        values["fab.expand.weight"] = fab.w_expand.data
+    shape = table["head.hidden.weight"][0]
+    values["head.hidden.weight"] = he_uniform(
+        _param_rng(seed, "head.hidden"), shape[3], shape)
+    shape = table["head.out.weight"][0]
+    values["head.out.weight"] = glorot_uniform(
+        _param_rng(seed, "head.out"), shape[3], shape[2], shape)
+    return _model_from_table(cfg, class_names, table, values)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -199,7 +224,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: bias {tuple(bias.shape)} does not match "
                          f"{cout} output channels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    padded = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    # Zero border, interior copied in: the bytes of np.pad at lower cost.
+    padded = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.data.dtype)
+    padded[:, ph:ph + h, pw:pw + w, :] = x.data
     # (N, H, W, Cin, KH, KW) windows -> contiguous (N, H, W, KH, KW, Cin).
     cols = np.ascontiguousarray(
         sliding_window_view(padded, (kh, kw), axis=(1, 2))
@@ -324,7 +351,16 @@ def parse_blocks(text: str) -> tuple:
     return tuple(specs)
 
 
+def parse_bool(value: str) -> bool:
+    if value == "true":
+        return True
+    if value == "false":
+        return False
+    raise ConfigError(f"expected true/false, got {value!r}")
+
+
 def _config_from_text(text: str) -> tuple:
+    """Checkpoint header -> (config, class names, parameter table)."""
     fields = {}
     for line in text.splitlines():
         if not line.strip():
@@ -338,16 +374,24 @@ def _config_from_text(text: str) -> tuple:
             input_size=(int(fields["input_height"]), int(fields["input_width"])),
             in_channels=int(fields["in_channels"]),
             blocks=parse_blocks(fields["blocks"]),
-            use_fab=fields["use_fab"] == "true",
+            use_fab=parse_bool(fields["use_fab"]),
             fab_ratio=int(fields["fab_ratio"]),
             head_hidden=int(fields["head_hidden"]),
             num_classes=int(fields["num_classes"]),
-            freeze_backbone=fields["freeze_backbone"] == "true",
+            freeze_backbone=parse_bool(fields["freeze_backbone"]),
         )
-        class_names = fields["class_names"].split(",")
+        class_names = _check_class_names(cfg, fields["class_names"].split(","))
+        table = param_table(cfg)
     except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
-    return cfg, class_names
+    return cfg, class_names, table
+
+
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def save_checkpoint(m: Model, path) -> None:
@@ -398,25 +442,27 @@ def load_checkpoint(path) -> Model:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     (text_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg, class_names = _config_from_text(
-        take(text_len, "config").decode("utf-8"))
+    cfg, class_names, table = _config_from_text(
+        _utf8(take(text_len, "config"), "checkpoint config"))
 
+    # Every record must match the table by name and shape and hold only
+    # finite values; the model is then assembled in table order, so
+    # nothing is drawn and a load -> save round trip is byte-identical.
     loaded: dict = {}
     while offset < len(blob):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = _utf8(take(name_len, "name"), "parameter name")
+        if name in loaded:
+            raise FormatError(f"duplicate parameter record {name!r}")
         shape = Shape4(*struct.unpack("<4Q", take(32, "shape")))
-        raw = take(shape.element_count * 8, f"values of {name}")
-        loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-    # Rebuild through the constructor so shapes are validated against the
-    # config, then overwrite every value from the table.
-    skeleton = build_model(cfg, seed=0, class_names=class_names)
-    if set(loaded) != set(skeleton.params):
-        missing = set(skeleton.params) ^ set(loaded)
-        raise FormatError(f"parameter table mismatch: {sorted(missing)}")
-    for name, data in loaded.items():
-        if data.shape != skeleton.params[name].data.shape:
+        if name in table and shape != table[name][0]:
             raise FormatError(f"shape table mismatch for {name}")
-        skeleton.params[name] = Tensor(data)
-    return skeleton
+        raw = take(shape.element_count * 8, f"values of {name}")
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise FormatError(f"non-finite value in {name}")
+        loaded[name] = data
+    if loaded.keys() != table.keys():
+        mismatch = set(table) ^ set(loaded)
+        raise FormatError(f"parameter table mismatch: {sorted(mismatch)}")
+    return _model_from_table(cfg, class_names, table, loaded)

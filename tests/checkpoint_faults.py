@@ -1,0 +1,74 @@
+"""Corruptions of a valid checkpoint's bytes that the loader must reject.
+
+``CHECKPOINT_FAULTS`` maps a fault name to ``(corrupt, message)``:
+``corrupt`` turns the bytes of a checkpoint written by ``save_checkpoint``
+(3 classes, final channel count not divisible by 3) into faulty bytes,
+and ``message`` is part of the ``FormatError`` the loader must raise.
+"""
+
+import math
+import struct
+
+HEADER = 12   # magic, version, config length
+
+
+def split_records(blob: bytes) -> tuple:
+    """(header and config bytes, [bytes of each parameter record])."""
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    offset = HEADER + text_len
+    head, records = blob[:offset], []
+    while offset < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, offset)
+        shape = struct.unpack_from("<4Q", blob, offset + 4 + name_len)
+        end = offset + 4 + name_len + 32 + 8 * math.prod(shape)
+        records.append(blob[offset:end])
+        offset = end
+    return head, records
+
+
+def _set_byte(blob: bytes, offset: int, value: int) -> bytes:
+    return blob[:offset] + bytes([value]) + blob[offset + 1:]
+
+
+def _edit_config(blob: bytes, key: str, edit) -> bytes:
+    """Rewrite one ``key=value`` line of the config text (and its length)."""
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    lines = blob[HEADER:HEADER + text_len].decode("utf-8").splitlines()
+    lines = [f"{key}={edit(line.split('=', 1)[1])}"
+             if line.startswith(key + "=") else line for line in lines]
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    return (blob[:8] + struct.pack("<I", len(text)) + text
+            + blob[HEADER + text_len:])
+
+
+def _nan_last_value(blob: bytes) -> bytes:
+    return blob[:-8] + struct.pack("<d", math.nan)
+
+
+def _bad_utf8_name(blob: bytes) -> bytes:
+    head, _ = split_records(blob)
+    return _set_byte(blob, len(head) + 4, 0xFF)
+
+
+def _duplicate_last_record(blob: bytes) -> bytes:
+    head, records = split_records(blob)
+    return head + b"".join(records + records[-1:])
+
+
+CHECKPOINT_FAULTS = {
+    "non-finite value": (_nan_last_value, "non-finite value in head.out.bias"),
+    "config not UTF-8": (lambda blob: _set_byte(blob, HEADER, 0xFF),
+                         "checkpoint config is not valid UTF-8"),
+    "name not UTF-8": (_bad_utf8_name, "parameter name is not valid UTF-8"),
+    "duplicate record": (_duplicate_last_record,
+                         "duplicate parameter record 'head.out.bias'"),
+    "fab_ratio does not divide": (
+        lambda blob: _edit_config(blob, "fab_ratio", lambda v: "3"),
+        "invalid checkpoint config: fab_ratio 3 must divide"),
+    "flag not a bool": (
+        lambda blob: _edit_config(blob, "freeze_backbone", lambda v: "maybe"),
+        "invalid checkpoint config: expected true/false, got 'maybe'"),
+    "class-name count": (
+        lambda blob: _edit_config(blob, "class_names", lambda v: v + ",extra"),
+        "invalid checkpoint config: 4 class names for 3 classes"),
+}

@@ -15,6 +15,7 @@ from fabnet.model import load_checkpoint
 from fabnet.tensor import backward_fault
 from fabnet.training import TrainConfig
 from fabnet.verify import run_suite
+from checkpoint_faults import CHECKPOINT_FAULTS
 
 SMALL_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -269,7 +270,7 @@ BAD_INPUTS = [
     ("train", "fab_ratio=0"),
     ("train", "seed=-1"),
     ("train", ["--seed", "-1"]),
-]
+] + [("predict", fault) for fault in CHECKPOINT_FAULTS]
 
 
 class TestBadInput:
@@ -281,6 +282,14 @@ class TestBadInput:
         # as a traceback on stderr and a different exit code.
         if command == "synth":
             argv = ["synth", "--out", str(tmp_path / "ds")] + bad
+        elif command == "predict":
+            corrupt, _ = CHECKPOINT_FAULTS[bad]
+            checkpoint = tmp_path / "bad.fabn"
+            checkpoint.write_bytes(corrupt(
+                (cli_workspace / "run" / "checkpoint.fabn").read_bytes()))
+            image = min((cli_workspace / "ds").glob("*.ppm"))
+            argv = ["predict", "--checkpoint", str(checkpoint),
+                    "--image", str(image)]
         else:
             argv = ["train", "--data", str(cli_workspace / "ds" / "manifest.csv"),
                     "--out", str(tmp_path / "run")]

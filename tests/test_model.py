@@ -2,12 +2,14 @@
 
 import gc
 import itertools
+import re
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fabnet.model
 from fabnet.errors import ConfigError, FormatError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
                           feature_map_size, load_checkpoint, maxpool2x2,
@@ -16,6 +18,7 @@ from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
 from fabnet.tensor import (Tape, Tensor, _Node, backward, ew_mul, grad_check,
                            sum_all, tensor_new)
 from fabnet.training import AdamState, adam_step, softmax_cross_entropy
+from checkpoint_faults import CHECKPOINT_FAULTS
 from oracles import conv2d_oracle, maxpool2x2_oracle
 
 TINY = ModelConfig(input_size=(8, 8),
@@ -36,6 +39,11 @@ class TestBuildModel:
                           fab_ratio=4)
         with pytest.raises(ConfigError):
             build_model(cfg, seed=0)
+
+    @pytest.mark.parametrize("field", ["in_channels", "head_hidden"])
+    def test_zero_width_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            build_model(replace(TINY, **{field: 0}), seed=0)
 
     def test_ablation_config_has_no_attention_params(self):
         m = build_model(ModelConfig(use_fab=False), seed=0)
@@ -262,6 +270,47 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.fabn"]
+
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        m = build_model(TINY, seed=14)
+        path = tmp_path / "model.fabn"
+        save_checkpoint(m, path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_checkpoint initialized a model")
+
+        monkeypatch.setattr(fabnet.model, "build_model", forbidden)
+        monkeypatch.setattr(fabnet.model, "_param_rng", forbidden)
+        loaded = load_checkpoint(path)
+        for name, t in m.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(),
+        ModelConfig(use_fab=False),
+        ModelConfig(freeze_backbone=True),
+        ModelConfig(input_size=(8, 8), blocks=(ConvBlockSpec(8, pool=False),),
+                    fab_ratio=4, head_hidden=8, num_classes=3),
+    ], ids=["default", "no-fab", "frozen", "one-block-no-pool"])
+    def test_load_save_byte_identical(self, tmp_path, cfg):
+        m = build_model(cfg, seed=15)
+        first, second = tmp_path / "first.fabn", tmp_path / "second.fabn"
+        save_checkpoint(m, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert list(loaded.params) == list(m.params)
+        assert list(loaded.trainable.items()) == list(m.trainable.items())
+
+    @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
+    def test_corrupt_bytes_rejected(self, tmp_path, fault):
+        corrupt, message = CHECKPOINT_FAULTS[fault]
+        path = tmp_path / "model.fabn"
+        save_checkpoint(build_model(TINY, seed=16), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(path)
 
 
 class TestFreezing:
