@@ -16,8 +16,8 @@ from .errors import ConfigError, FabnetError
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
                     parse_blocks, parse_bool, save_checkpoint)
 from .tensor import Tensor
-from .training import (SplitData, TrainConfig, evaluate, softmax_probabilities,
-                       train)
+from .training import (SplitData, TrainConfig, evaluate,
+                       metrics_from_predictions, softmax_probabilities, train)
 from .verify import run_suite
 
 DEFAULT_BLOCKS = "16:pool,32:pool,64:pool"
@@ -136,7 +136,8 @@ def cmd_train(args) -> int:
     model = build_model(_model_config(run, len(manifest.class_names)), run.seed,
                         class_names=manifest.class_names)
     model, curve = train(model, data, _train_config(run))
-    report = evaluate(model, data.test_x, data.test_y)
+    report = metrics_from_predictions(data.test_y, curve.val_preds,
+                                      model.class_names)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

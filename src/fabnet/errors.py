@@ -34,4 +34,9 @@ class SplitError(FabnetError):
 
 
 class DivergenceError(FabnetError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or an optimizer step left a
+    non-finite parameter value.
+
+    The message names the epoch and batch, and the parameter if one is
+    at fault.
+    """

@@ -1,8 +1,10 @@
 """Convolutional backbone, attention insertion point, and dense head.
 
-The network is a stack of 3x3 same-padded conv blocks (each optionally
-followed by 2x2 max pooling), the channel-attention block after the
-final feature map, a spatial mean, and a two-layer dense classifier.
+The network is a stack of 3x3 same-padded conv blocks, each conv → ReLU
+or, where the block pools, conv → 2x2 max pool → ReLU: the same function
+as VGG's conv → ReLU → pool, since ReLU is monotone, with the ReLU run on
+a quarter of the elements. The channel-attention block follows the final
+feature map, then a spatial mean and a two-layer dense classifier.
 Per-parameter trainable flags realize backbone freezing for transfer
 learning.
 """
@@ -32,7 +34,7 @@ class ConvBlockSpec:
     """One backbone block: 3x3 conv, stride 1, same padding, ReLU."""
 
     out_channels: int
-    pool: bool = True   # 2x2 max pool, stride 2, after the activation
+    pool: bool = True   # 2x2 max pool, stride 2, between conv and ReLU
 
 
 @dataclass(frozen=True)
@@ -287,17 +289,24 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 
 def model_forward(m: Model, x: Tensor) -> Tensor:
-    """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images."""
+    """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
+
+    A pooling block runs conv → pool → ReLU, the same function as VGG's
+    conv → ReLU → pool (``relu(maxpool(y)) == maxpool(relu(y))`` bit for
+    bit) at a quarter of the ReLU work. Gradients differ at most in the
+    sign of exact zeros, which the following sums erase.
+    """
     n, h, w, c = x.shape
     if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
         raise ShapeError(f"input {tuple(x.shape)} does not match configured "
                          f"size {m.config.input_size} x {m.config.in_channels}")
     t = x
     for i, blk in enumerate(m.config.blocks):
-        t = relu(conv2d(t, m.params[f"block{i}.conv.weight"],
-                        m.params[f"block{i}.conv.bias"]))
+        t = conv2d(t, m.params[f"block{i}.conv.weight"],
+                   m.params[f"block{i}.conv.bias"])
         if blk.pool:
             t = maxpool2x2(t)
+        t = relu(t)
     if m.config.use_fab:
         t = fab_forward(t, m.fab_params()).out
     t = mean_spatial(t)
@@ -360,7 +369,10 @@ def parse_bool(value: str) -> bool:
 
 
 def _config_from_text(text: str) -> tuple:
-    """Checkpoint header -> (config, class names, parameter table)."""
+    """Checkpoint header -> (config, class names, parameter table).
+
+    Every key must be one ``_config_text`` writes, and appear once.
+    """
     fields = {}
     for line in text.splitlines():
         if not line.strip():
@@ -368,22 +380,29 @@ def _config_from_text(text: str) -> tuple:
         if "=" not in line:
             raise FormatError(f"bad config line {line!r}")
         key, value = line.split("=", 1)
+        if key in fields:
+            raise FormatError(f"repeated checkpoint config key {key!r}")
         fields[key] = value
     try:
+        # Each field is popped as it is read, so what is left is unknown.
         cfg = ModelConfig(
-            input_size=(int(fields["input_height"]), int(fields["input_width"])),
-            in_channels=int(fields["in_channels"]),
-            blocks=parse_blocks(fields["blocks"]),
-            use_fab=parse_bool(fields["use_fab"]),
-            fab_ratio=int(fields["fab_ratio"]),
-            head_hidden=int(fields["head_hidden"]),
-            num_classes=int(fields["num_classes"]),
-            freeze_backbone=parse_bool(fields["freeze_backbone"]),
+            input_size=(int(fields.pop("input_height")),
+                        int(fields.pop("input_width"))),
+            in_channels=int(fields.pop("in_channels")),
+            blocks=parse_blocks(fields.pop("blocks")),
+            use_fab=parse_bool(fields.pop("use_fab")),
+            fab_ratio=int(fields.pop("fab_ratio")),
+            head_hidden=int(fields.pop("head_hidden")),
+            num_classes=int(fields.pop("num_classes")),
+            freeze_backbone=parse_bool(fields.pop("freeze_backbone")),
         )
-        class_names = _check_class_names(cfg, fields["class_names"].split(","))
+        class_names = _check_class_names(
+            cfg, fields.pop("class_names").split(","))
         table = param_table(cfg)
     except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
+    if fields:
+        raise FormatError(f"unknown checkpoint config key {next(iter(fields))!r}")
     return cfg, class_names, table
 
 

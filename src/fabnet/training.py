@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import batch_iterator
-from .errors import DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .model import Model, ModelConfig, build_model, model_forward, trainable_parameters
 from .tensor import Tape, Tensor, _emit, backward as tape_backward
 
@@ -114,6 +114,10 @@ class EpochRecord:
 @dataclass
 class EpochCurve:
     records: list = field(default_factory=list)
+    # The last epoch's held-out predictions, for scoring the final model
+    # without another sweep; not part of the CSV.
+    val_preds: np.ndarray | None = field(default=None, compare=False,
+                                         repr=False)
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
@@ -177,6 +181,11 @@ def _train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
                                else np.zeros_like(tensor.data))
             adam_step(trainable, grads, state, cfg.learning_rate,
                       cfg.beta1, cfg.beta2, cfg.epsilon)
+            for name, tensor in trainable:
+                if not np.isfinite(tensor.data).all():
+                    raise DivergenceError(
+                        f"non-finite parameter {name} at epoch {epoch}, "
+                        f"batch {batch_no}")
     return loss_value, correct
 
 
@@ -184,9 +193,12 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
     """Run the full optimization schedule; returns (model, EpochCurve).
 
     Each epoch consumes a fresh seeded shuffle of the training set, and
-    the held-out test split is scored after every epoch for the curve.
-    A non-finite loss aborts with epoch/batch context.
+    the held-out test split is scored after every epoch for the curve;
+    the last epoch's predictions stay on ``curve.val_preds``. A non-finite
+    loss or parameter aborts with epoch/batch context.
     """
+    if cfg.max_epochs < 1:
+        raise ConfigError(f"max_epochs must be >= 1, got {cfg.max_epochs}")
     state = AdamState()
     curve = EpochCurve()
     n_train = len(data.train_y)
@@ -209,6 +221,7 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
             val_loss=val_loss,
             val_acc=float(np.mean(val_preds == data.test_y)),
         ))
+        curve.val_preds = val_preds
     return model, curve
 
 
@@ -347,7 +360,8 @@ def ablation_run(data: SplitData, model_cfg: ModelConfig, cfg: TrainConfig,
         for use_fab in (True, False):
             m = build_model(replace(model_cfg, use_fab=use_fab), seed,
                             class_names=class_names)
-            m, _ = train(m, data, replace(cfg, seed=seed))
-            accs[use_fab] = evaluate(m, data.test_x, data.test_y).accuracy
+            m, curve = train(m, data, replace(cfg, seed=seed))
+            accs[use_fab] = metrics_from_predictions(
+                data.test_y, curve.val_preds, class_names).accuracy
         rows.append(AblationRow(seed, accs[True], accs[False]))
     return AblationResult(rows=tuple(rows))

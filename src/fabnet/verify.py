@@ -156,6 +156,13 @@ def _kink_margin(model, x: Tensor) -> float:
     That is the smallest |pre-activation| over every ReLU, and the
     smallest gap between the two largest values of every max-pool window
     whose maximum is positive (windows of ReLU zeros stay flat).
+
+    It walks each pooling block in VGG's conv → ReLU → pool order on
+    purpose, although ``model_forward`` runs conv → pool → ReLU. This
+    order's margin bounds the other's from below: it checks every conv
+    pre-activation, a superset of the pooled ones, and a window's top-two
+    gap after ReLU is at most its gap before. So it covers every kink,
+    and keeping it keeps the inputs ``model_loss`` draws unchanged.
     """
     margins = []
 

@@ -41,6 +41,23 @@ def _edit_config(blob: bytes, key: str, edit) -> bytes:
             + blob[HEADER + text_len:])
 
 
+def _add_config_line(blob: bytes, line: str) -> bytes:
+    """Append one line to the config text (and fix its length)."""
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    text = blob[HEADER:HEADER + text_len] + line.encode("utf-8") + b"\n"
+    return (blob[:8] + struct.pack("<I", len(text)) + text
+            + blob[HEADER + text_len:])
+
+
+def _repeat_config_line(blob: bytes, key: str) -> bytes:
+    """Append a second copy of the ``key=value`` line, value unchanged."""
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    text = blob[HEADER:HEADER + text_len].decode("utf-8")
+    line = next(line for line in text.splitlines()
+                if line.startswith(key + "="))
+    return _add_config_line(blob, line)
+
+
 def _nan_last_value(blob: bytes) -> bytes:
     return blob[:-8] + struct.pack("<d", math.nan)
 
@@ -71,4 +88,10 @@ CHECKPOINT_FAULTS = {
     "class-name count": (
         lambda blob: _edit_config(blob, "class_names", lambda v: v + ",extra"),
         "invalid checkpoint config: 4 class names for 3 classes"),
+    "unknown config key": (
+        lambda blob: _add_config_line(blob, "bogus_key=1"),
+        "unknown checkpoint config key 'bogus_key'"),
+    "repeated config key": (
+        lambda blob: _repeat_config_line(blob, "head_hidden"),
+        "repeated checkpoint config key 'head_hidden'"),
 }

@@ -2,12 +2,19 @@
 
 Everything here is deliberately written as straight-line Python loops
 over the mathematical definitions, with no shared code from the package
-beyond raw numpy arrays in and out.
+beyond raw numpy arrays in and out. The one exception is
+``relu_then_pool_forward``: it pins the order of the model's ops rather
+than the ops themselves, so it composes the package's own differentiable
+ops.
 """
 
 import math
 
 import numpy as np
+
+from fabnet.attention import fab_forward
+from fabnet.model import conv2d, maxpool2x2
+from fabnet.tensor import dense, mean_spatial, relu
 
 
 def mean_spatial_oracle(x: np.ndarray) -> np.ndarray:
@@ -128,3 +135,24 @@ def metrics_oracle(y_true, y_pred, k: int):
         f1.append(2.0 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
     correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
     return precision, recall, f1, correct / len(y_true)
+
+
+def relu_then_pool_forward(m, x):
+    """``model_forward`` with every pooling block in VGG's order.
+
+    Each block runs conv -> ReLU -> 2x2 max pool, as in Simonyan &
+    Zisserman (arXiv:1409.1556); everything after the backbone is the
+    same as in ``model_forward``. Records onto a tape like it.
+    """
+    t = x
+    for i, blk in enumerate(m.config.blocks):
+        t = relu(conv2d(t, m.params[f"block{i}.conv.weight"],
+                        m.params[f"block{i}.conv.bias"]))
+        if blk.pool:
+            t = maxpool2x2(t)
+    if m.config.use_fab:
+        t = fab_forward(t, m.fab_params()).out
+    t = mean_spatial(t)
+    t = relu(dense(t, m.params["head.hidden.weight"],
+                   m.params["head.hidden.bias"]))
+    return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fabnet.model
+import fabnet.training
 from fabnet.errors import ConfigError, FormatError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
                           feature_map_size, load_checkpoint, maxpool2x2,
@@ -17,9 +18,10 @@ from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
                           trainable_parameters)
 from fabnet.tensor import (Tape, Tensor, _Node, backward, ew_mul, grad_check,
                            sum_all, tensor_new)
-from fabnet.training import AdamState, adam_step, softmax_cross_entropy
+from fabnet.training import (AdamState, SplitData, TrainConfig, adam_step,
+                             softmax_cross_entropy, train)
 from checkpoint_faults import CHECKPOINT_FAULTS
-from oracles import conv2d_oracle, maxpool2x2_oracle
+from oracles import conv2d_oracle, maxpool2x2_oracle, relu_then_pool_forward
 
 TINY = ModelConfig(input_size=(8, 8),
                    blocks=(ConvBlockSpec(4), ConvBlockSpec(8)),
@@ -97,6 +99,89 @@ class TestModelForward:
         m = build_model(TINY, seed=5)
         with pytest.raises(ShapeError):
             model_forward(m, Tensor(np.zeros((1, 16, 16, 3))))
+
+
+def _kinked_model_and_batch():
+    """TINY with block-0 channels and images that tie pool windows.
+
+    Block 0's channel 0 is all-zero (zero weights and bias), channel 1
+    all-negative (bias -100) and channel 2 has non-negative weights, so
+    the constant image gives tied windows with a positive maximum; the
+    zero image gives all-zero windows in every channel.
+    """
+    m = build_model(TINY, seed=30)
+    w = m.params["block0.conv.weight"].data
+    b = m.params["block0.conv.bias"].data
+    w[..., 0] = 0.0
+    w[..., 2] = np.abs(w[..., 2])
+    b[..., 1] = -100.0
+    rng = np.random.default_rng(31)
+    x = np.stack([np.full((8, 8, 3), 0.5), np.zeros((8, 8, 3)),
+                  rng.uniform(0, 1, (8, 8, 3)), rng.uniform(-1, 1, (8, 8, 3))])
+    return m, x
+
+
+def _logits_and_grads(forward, m, x):
+    tape = Tape()
+    xt = Tensor(x)
+    tape.watch(xt)
+    with m.watch_trainable(tape):
+        logits = forward(m, xt)
+        grads = backward(tape, softmax_cross_entropy(logits, [0, 1, 2, 0]))
+        by_name = {name: grads[t.node_id].data for name, t in m.params.items()}
+    return logits.data, by_name, grads[xt.node_id].data
+
+
+class TestBlockOrder:
+    """conv -> pool -> ReLU against VGG's conv -> ReLU -> pool."""
+
+    def test_batch_has_tied_zero_and_negative_windows(self):
+        m, x = _kinked_model_and_batch()
+        pre = conv2d(Tensor(x), m.params["block0.conv.weight"],
+                     m.params["block0.conv.bias"]).data
+        windows = (pre.reshape(4, 4, 2, 4, 2, 4).transpose(0, 1, 3, 5, 2, 4)
+                   .reshape(-1, 4))
+        top = windows.max(axis=1)
+        tied = (windows == top[:, None]).sum(axis=1) > 1
+        assert np.any(tied & (top > 0.0))
+        assert np.any(np.all(windows == 0.0, axis=1))
+        assert np.any(np.all(windows < 0.0, axis=1))
+
+    def test_relu_runs_on_pooled_maps(self, monkeypatch):
+        shapes = []
+        real_relu = fabnet.model.relu
+
+        def spy(t):
+            shapes.append(tuple(t.shape))
+            return real_relu(t)
+
+        monkeypatch.setattr(fabnet.model, "relu", spy)
+        model_forward(build_model(TINY, seed=32), Tensor(np.zeros((2, 8, 8, 3))))
+        assert shapes == [(2, 4, 4, 4), (2, 2, 2, 8), (2, 1, 1, 8)]
+
+    def test_logits_and_gradients_match_vgg_order(self):
+        m, x = _kinked_model_and_batch()
+        logits, grads, grad_x = _logits_and_grads(model_forward, m, x)
+        ref_logits, ref_grads, ref_grad_x = _logits_and_grads(
+            relu_then_pool_forward, m, x)
+        assert logits.tobytes() == ref_logits.tobytes()
+        for name in m.params:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert np.array_equal(grad_x, ref_grad_x)
+
+    def test_training_matches_vgg_order(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        _, x = _kinked_model_and_batch()
+        data = SplitData(np.concatenate([x, rng.uniform(0, 1, (8, 8, 8, 3))]),
+                         np.arange(12) % 3, x, np.array([0, 1, 2, 0]))
+        cfg = TrainConfig(learning_rate=1e-3, max_epochs=2, seed=34)
+        runs = []
+        for forward in (model_forward, relu_then_pool_forward):
+            monkeypatch.setattr(fabnet.training, "model_forward", forward)
+            m, curve = train(_kinked_model_and_batch()[0], data, cfg)
+            runs.append((curve.to_csv(),
+                         {name: t.data.tobytes() for name, t in m.params.items()}))
+        assert runs[0] == runs[1]
 
 
 class TestConv2d:

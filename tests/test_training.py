@@ -1,12 +1,14 @@
 """Loss, optimizer, training loop, metrics, and the paired ablation."""
 
 import gc
+import math
+import re
 
 import numpy as np
 import pytest
 
 from fabnet.data import SplitSpec, load_manifest, load_samples, stratified_split, synth_generate
-from fabnet.errors import DivergenceError, ShapeError
+from fabnet.errors import ConfigError, DivergenceError, ShapeError
 from fabnet.model import ConvBlockSpec, ModelConfig, build_model
 from fabnet.tensor import Tape, Tensor, backward, grad_check, tensor_new
 from fabnet.training import (AblationResult, AblationRow, AdamState, SplitData,
@@ -148,6 +150,33 @@ class TestTrainLoop:
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
                 train(m, tiny_data(), TrainConfig(max_epochs=1, seed=3))
+
+    def test_non_finite_parameter_named_where_it_appears(self):
+        # An infinite step leaves the loss finite until the next batch;
+        # the parameter check names the first tensor it breaks.
+        m = build_model(TINY, seed=3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=re.escape(
+                    "non-finite parameter block0.conv.weight at epoch 1, "
+                    "batch 0")):
+                train(m, tiny_data(), TrainConfig(learning_rate=math.inf,
+                                                  max_epochs=1, seed=3))
+
+    def test_needs_an_epoch(self):
+        with pytest.raises(ConfigError, match="max_epochs"):
+            train(build_model(TINY, seed=5), tiny_data(),
+                  TrainConfig(max_epochs=0))
+
+    def test_last_sweep_predictions_kept(self):
+        data = tiny_data(seed=5)
+        m, curve = train(build_model(TINY, seed=5), data,
+                         TrainConfig(learning_rate=1e-3, max_epochs=2, seed=5))
+        report = evaluate(m, data.test_x, data.test_y)
+        assert np.array_equal(
+            metrics_from_predictions(data.test_y, curve.val_preds,
+                                     m.class_names).confusion,
+            report.confusion)
+        assert "val_preds" not in curve.to_csv()
 
     def test_three_class_desk_convergence(self, tmp_path):
         # default TrainConfig end to end; regression value from first build
