@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,93 +15,68 @@ from .data import (SplitSpec, decode_image, load_manifest, load_samples,
                    preprocess, stratified_split, synth_generate)
 from .errors import ConfigError, FabnetError
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
-                    parse_blocks, parse_bool, save_checkpoint)
+                    parse_blocks, parse_bool, read_settings, save_checkpoint)
 from .tensor import Tensor
 from .training import (SplitData, TrainConfig, evaluate,
                        metrics_from_predictions, softmax_probabilities, train)
 from .verify import run_suite
 
-DEFAULT_BLOCKS = "16:pool,32:pool,64:pool"
+_MODEL, _TRAIN = ModelConfig(), TrainConfig()
 
 
 @dataclass
 class RunConfig:
-    """Flat key=value settings; command-line flags override file values."""
+    """Flat key=value settings with the library's defaults; flags override them."""
 
-    learning_rate: float = 1e-4
-    batch_size: int = 16
-    max_epochs: int = 40
-    image_size: int = 32
-    fab_ratio: int = 8
-    use_fab: bool = True
-    freeze_backbone: bool = False
-    head_hidden: int = 64
-    blocks: str = DEFAULT_BLOCKS
-    seed: int = 0
-
-
-_RUN_MINIMUMS = {"batch_size": 1, "max_epochs": 1, "image_size": 1,
-                 "head_hidden": 1, "fab_ratio": 1, "seed": 0}
+    learning_rate: float = _TRAIN.learning_rate
+    batch_size: int = _TRAIN.batch_size
+    max_epochs: int = _TRAIN.max_epochs
+    image_size: int = _MODEL.input_size[0]
+    fab_ratio: int = _MODEL.fab_ratio
+    use_fab: bool = _MODEL.use_fab
+    freeze_backbone: bool = _MODEL.freeze_backbone
+    head_hidden: int = _MODEL.head_hidden
+    blocks: tuple = _MODEL.blocks
+    seed: int = _TRAIN.seed
 
 
-def _check_run_value(key: str, value) -> None:
-    """Reject a setting the library would fail on later or train with silently."""
-    if key == "learning_rate" and not (math.isfinite(value) and value > 0):
+def _learning_rate(text) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"learning_rate must be finite and > 0, got {value!r}")
-    least = _RUN_MINIMUMS.get(key)
-    if least is not None and value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _int_at_least(key: str, least: int):
+    """A parser for an int setting the library would fail on below ``least``."""
+    def parse(text) -> int:
+        value = int(text)
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+_RUN_PARSERS = {
+    "learning_rate": _learning_rate,
+    **{key: _int_at_least(key, 1) for key in (
+        "batch_size", "max_epochs", "image_size", "fab_ratio", "head_hidden")},
+    "use_fab": parse_bool,
+    "freeze_backbone": parse_bool,
+    "blocks": parse_blocks,
+    "seed": _int_at_least("seed", 0),
+}
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a flat key=value file with '#' comments; unknown keys fail."""
-    cfg = RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            if key in ("learning_rate",):
-                parsed = float(value)
-            elif key in ("use_fab", "freeze_backbone"):
-                parsed = parse_bool(value)
-            elif key == "blocks":
-                parse_blocks(value)
-                parsed = value
-            else:
-                parsed = int(value)
-            _check_run_value(key, parsed)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        setattr(cfg, key, parsed)
-    return cfg
-
-
-def _model_config(run: RunConfig, num_classes: int) -> ModelConfig:
-    return ModelConfig(
-        input_size=(run.image_size, run.image_size),
-        blocks=parse_blocks(run.blocks),
-        use_fab=run.use_fab,
-        fab_ratio=run.fab_ratio,
-        head_hidden=run.head_hidden,
-        num_classes=num_classes,
-        freeze_backbone=run.freeze_backbone,
-    )
-
-
-def _train_config(run: RunConfig) -> TrainConfig:
-    return TrainConfig(learning_rate=run.learning_rate,
-                       batch_size=run.batch_size,
-                       max_epochs=run.max_epochs,
-                       seed=run.seed)
+    """Parse a flat key=value file with '#' comments; unknown or repeated keys fail."""
+    # Drop comments and the padding around each line and its first '='.
+    lines = [re.sub(r"\s*=\s*", "=", line.split("#", 1)[0].strip(), count=1)
+             for line in Path(path).read_text().splitlines()]
+    try:
+        return RunConfig(**read_settings(lines, _RUN_PARSERS, "config"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}:{exc}") from exc
 
 
 def cmd_synth(args) -> int:
@@ -108,8 +84,7 @@ def cmd_synth(args) -> int:
                                ("--per-class", args.per_class, 1),
                                ("--size", args.size, 1),
                                ("--seed", args.seed, 0)):
-        if value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+        _int_at_least(flag, least)(value)
     manifest = synth_generate(args.out, args.classes, args.per_class,
                               (args.size, args.size), args.seed)
     print(manifest)
@@ -123,8 +98,7 @@ def cmd_train(args) -> int:
     if args.freeze_backbone:
         run.freeze_backbone = True
     if args.seed is not None:
-        _check_run_value("seed", args.seed)
-        run.seed = args.seed
+        run.seed = _RUN_PARSERS["seed"](args.seed)
 
     manifest = load_manifest(args.data)
     split = SplitSpec(seed=run.seed)
@@ -133,9 +107,15 @@ def cmd_train(args) -> int:
     data = SplitData(*load_samples(manifest, train_idx, size),
                      *load_samples(manifest, test_idx, size))
 
-    model = build_model(_model_config(run, len(manifest.class_names)), run.seed,
-                        class_names=manifest.class_names)
-    model, curve = train(model, data, _train_config(run))
+    model = build_model(
+        ModelConfig(input_size=size, blocks=run.blocks, use_fab=run.use_fab,
+                    fab_ratio=run.fab_ratio, head_hidden=run.head_hidden,
+                    num_classes=len(manifest.class_names),
+                    freeze_backbone=run.freeze_backbone),
+        run.seed, class_names=manifest.class_names)
+    model, curve = train(model, data, TrainConfig(
+        learning_rate=run.learning_rate, batch_size=run.batch_size,
+        max_epochs=run.max_epochs, seed=run.seed))
     report = metrics_from_predictions(data.test_y, curve.val_preds,
                                       model.class_names)
 

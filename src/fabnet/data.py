@@ -38,7 +38,6 @@ class DatasetManifest:
 @dataclass(frozen=True)
 class SplitSpec:
     test_fraction: float = 0.2
-    stratified: bool = True
     seed: int = 0
 
 

@@ -345,18 +345,14 @@ def parse_blocks(text: str) -> tuple:
         part = part.strip()
         if not part:
             raise ConfigError("empty block entry")
-        if ":" in part:
-            chan, suffix = part.split(":", 1)
-            if suffix != "pool":
-                raise ConfigError(f"unknown block suffix {suffix!r}")
-            pool = True
-        else:
-            chan, pool = part, False
+        chan, colon, suffix = part.partition(":")
+        if colon and suffix != "pool":
+            raise ConfigError(f"unknown block suffix {suffix!r}")
         try:
             channels = int(chan)
         except ValueError as exc:
             raise ConfigError(f"bad block channel count {chan!r}") from exc
-        specs.append(ConvBlockSpec(channels, pool))
+        specs.append(ConvBlockSpec(channels, pool=bool(colon)))
     return tuple(specs)
 
 
@@ -368,41 +364,67 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"expected true/false, got {value!r}")
 
 
+def read_settings(lines, parsers: dict, what: str) -> dict:
+    """``key=value`` lines -> ``{key: parsers[key](value)}``.
+
+    Skips blank lines and splits each line on its first ``=``. A line
+    without ``=``, an unknown or repeated key, or a value its parser
+    rejects raises ConfigError starting ``<line number>: ``; ``what``
+    names the settings in that message.
+    """
+    settings: dict = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"{lineno}: expected key=value")
+        parse = parsers.get(key)
+        if parse is None:
+            raise ConfigError(f"{lineno}: unknown {what} key {key!r}")
+        if key in settings:
+            raise ConfigError(f"{lineno}: repeated {what} key {key!r}")
+        try:
+            settings[key] = parse(value)
+        except ValueError as exc:   # from int()/float(): name the key
+            raise ConfigError(f"{lineno}: invalid {what} {key}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{lineno}: invalid {what}: {exc}") from exc
+    return settings
+
+
+_HEADER_PARSERS = {
+    "input_height": int, "input_width": int, "in_channels": int,
+    "blocks": parse_blocks, "use_fab": parse_bool, "fab_ratio": int,
+    "head_hidden": int, "num_classes": int, "freeze_backbone": parse_bool,
+    "class_names": lambda value: value.split(","),
+}
+
+
 def _config_from_text(text: str) -> tuple:
     """Checkpoint header -> (config, class names, parameter table).
 
-    Every key must be one ``_config_text`` writes, and appear once.
+    Read verbatim, since class names may hold ``#`` and spaces.
     """
-    fields = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"bad config line {line!r}")
-        key, value = line.split("=", 1)
-        if key in fields:
-            raise FormatError(f"repeated checkpoint config key {key!r}")
-        fields[key] = value
     try:
-        # Each field is popped as it is read, so what is left is unknown.
+        fields = read_settings(text.splitlines(), _HEADER_PARSERS,
+                               "checkpoint config")
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint config line {exc}") from exc
+    try:
         cfg = ModelConfig(
-            input_size=(int(fields.pop("input_height")),
-                        int(fields.pop("input_width"))),
-            in_channels=int(fields.pop("in_channels")),
-            blocks=parse_blocks(fields.pop("blocks")),
-            use_fab=parse_bool(fields.pop("use_fab")),
-            fab_ratio=int(fields.pop("fab_ratio")),
-            head_hidden=int(fields.pop("head_hidden")),
-            num_classes=int(fields.pop("num_classes")),
-            freeze_backbone=parse_bool(fields.pop("freeze_backbone")),
-        )
-        class_names = _check_class_names(
-            cfg, fields.pop("class_names").split(","))
+            input_size=(fields["input_height"], fields["input_width"]),
+            in_channels=fields["in_channels"], blocks=fields["blocks"],
+            use_fab=fields["use_fab"], fab_ratio=fields["fab_ratio"],
+            head_hidden=fields["head_hidden"],
+            num_classes=fields["num_classes"],
+            freeze_backbone=fields["freeze_backbone"])
+        class_names = _check_class_names(cfg, fields["class_names"])
         table = param_table(cfg)
-    except (KeyError, ValueError, ConfigError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"missing checkpoint config key {exc}") from exc
+    except ConfigError as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
-    if fields:
-        raise FormatError(f"unknown checkpoint config key {next(iter(fields))!r}")
     return cfg, class_names, table
 
 

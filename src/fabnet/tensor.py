@@ -73,9 +73,6 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}{track})"
 
 
-# GradientMap: node_id -> gradient tensor of identical shape.
-GradientMap = dict
-
 # Test hook: op name -> scale factor applied to that op's parent gradients.
 # Lets the verification CLI demonstrate that a wrong backward rule is caught.
 _BACKWARD_FAULTS: dict = {}
@@ -281,11 +278,12 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit("sum_all", (x,), out, back)
 
 
-def backward(tape: Tape, loss: Union[Tensor, int]) -> GradientMap:
+def backward(tape: Tape, loss: Union[Tensor, int]) -> dict:
     """Reverse-mode gradients of a scalar loss for every tracked node.
 
     Seeds the loss gradient with 1 and sweeps the tape once in reverse
-    id order, so repeated runs are bit-identical.
+    id order, so repeated runs are bit-identical. Returns node_id ->
+    gradient tensor of the node's shape.
     """
     if isinstance(loss, Tensor):
         if loss.tape is not tape or loss.node_id is None:

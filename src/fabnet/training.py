@@ -252,20 +252,6 @@ class MetricsReport:
         return "\n".join(",".join(str(v) for v in row)
                          for row in self.confusion) + "\n"
 
-    def to_text(self) -> str:
-        lines = [f"accuracy: {self.accuracy:.4f}   "
-                 f"top-1 error: {self.top1_error_percent:.2f}%",
-                 f"macro precision/recall/f1: {self.macro_precision:.4f} / "
-                 f"{self.macro_recall:.4f} / {self.macro_f1:.4f}",
-                 "per-class:"]
-        for i, name in enumerate(self.class_names):
-            lines.append(f"  {name}: precision {self.precision[i]:.4f}  "
-                         f"recall {self.recall[i]:.4f}  f1 {self.f1[i]:.4f}")
-        if self.zero_division:
-            lines.append("zero-denominator metrics reported as 0: "
-                         + ", ".join(self.zero_division))
-        return "\n".join(lines) + "\n"
-
 
 def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
     """Confusion matrix and derived metrics; 0/0 ratios become 0, flagged."""

@@ -58,6 +58,16 @@ def _repeat_config_line(blob: bytes, key: str) -> bytes:
     return _add_config_line(blob, line)
 
 
+def _drop_config_line(blob: bytes, key: str) -> bytes:
+    """Remove the ``key=value`` line from the config text (and fix its length)."""
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    lines = blob[HEADER:HEADER + text_len].decode("utf-8").splitlines()
+    text = "".join(line + "\n" for line in lines
+                   if not line.startswith(key + "=")).encode("utf-8")
+    return (blob[:8] + struct.pack("<I", len(text)) + text
+            + blob[HEADER + text_len:])
+
+
 def _nan_last_value(blob: bytes) -> bytes:
     return blob[:-8] + struct.pack("<d", math.nan)
 
@@ -94,4 +104,7 @@ CHECKPOINT_FAULTS = {
     "repeated config key": (
         lambda blob: _repeat_config_line(blob, "head_hidden"),
         "repeated checkpoint config key 'head_hidden'"),
+    "missing config key": (
+        lambda blob: _drop_config_line(blob, "head_hidden"),
+        "missing checkpoint config key 'head_hidden'"),
 }

@@ -11,7 +11,7 @@ import pytest
 import fabnet
 from fabnet.cli import RunConfig, load_run_config, main
 from fabnet.errors import ConfigError
-from fabnet.model import load_checkpoint
+from fabnet.model import ModelConfig, load_checkpoint
 from fabnet.tensor import backward_fault
 from fabnet.training import TrainConfig
 from fabnet.verify import run_suite
@@ -71,6 +71,26 @@ class TestRunConfig:
         path.write_text("use_fab=yes\n")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    def test_repeated_key_is_hard_error(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("batch_size=4\nbatch_size=8\n")
+        with pytest.raises(ConfigError) as exc:
+            load_run_config(path)
+        assert str(exc.value).startswith(f"{path}:2:")
+
+    def test_defaults_are_the_library_defaults(self):
+        run, model, training = RunConfig(), ModelConfig(), TrainConfig()
+        assert run.learning_rate == training.learning_rate
+        assert run.batch_size == training.batch_size
+        assert run.max_epochs == training.max_epochs
+        assert run.seed == training.seed
+        assert run.image_size == model.input_size[0] == model.input_size[1]
+        assert run.fab_ratio == model.fab_ratio
+        assert run.use_fab == model.use_fab
+        assert run.freeze_backbone == model.freeze_backbone
+        assert run.head_hidden == model.head_hidden
+        assert run.blocks == model.blocks
 
 
 class TestSynth:

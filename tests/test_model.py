@@ -388,6 +388,17 @@ class TestCheckpoint:
         assert list(loaded.params) == list(m.params)
         assert list(loaded.trainable.items()) == list(m.trainable.items())
 
+    def test_class_names_with_hash_and_spaces_round_trip(self, tmp_path):
+        # The header is read verbatim: no comment stripping, no padding trim.
+        names = ["a # b", " c ", "#d=e"]
+        m = build_model(TINY, seed=17, class_names=names)
+        first, second = tmp_path / "first.fabn", tmp_path / "second.fabn"
+        save_checkpoint(m, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        assert loaded.class_names == names
+        assert second.read_bytes() == first.read_bytes()
+
     @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
     def test_corrupt_bytes_rejected(self, tmp_path, fault):
         corrupt, message = CHECKPOINT_FAULTS[fault]
