@@ -167,7 +167,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed)
+    results = run_suite(seed=_int_at_least("--seed", 0)(args.seed))
     width = max(len(r.name) for r in results)
     for r in results:
         status = "ok" if r.passed else "FAIL"
@@ -180,50 +180,66 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand: its help line, its arguments as (flag, add_argument
+# keywords), and its handler.
+COMMANDS = {
+    "synth": ("generate a synthetic labelled dataset", (
+        ("--out", dict(required=True, help="output directory")),
+        ("--classes", dict(type=int, default=5)),
+        ("--per-class", dict(type=int, default=40)),
+        ("--size", dict(type=int, default=32, help="square image extent")),
+        ("--seed", dict(type=int, default=0))), cmd_synth),
+    "train": ("train on a manifest dataset", (
+        ("--config", dict(help="key=value config file")),
+        ("--data", dict(required=True, help="manifest CSV path")),
+        ("--out", dict(required=True, help="output directory")),
+        ("--no-fab", dict(action="store_true",
+                          help="ablation: drop the attention block")),
+        ("--freeze-backbone", dict(action="store_true")),
+        ("--seed", dict(type=int))), cmd_train),
+    "eval": ("evaluate a checkpoint on a manifest", (
+        ("--checkpoint", dict(required=True)),
+        ("--data", dict(required=True)),
+        ("--report", dict(required=True, help="report output directory"))),
+        cmd_eval),
+    "predict": ("classify one PPM/PGM image", (
+        ("--checkpoint", dict(required=True)),
+        ("--image", dict(required=True))), cmd_predict),
+    "gradcheck": ("verify backward rules against finite differences", (
+        ("--seed", dict(type=int, default=0)),), cmd_gradcheck),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The fabnet parser, with every subcommand or only ``command``'s."""
     parser = argparse.ArgumentParser(
         prog="fabnet",
         description="Train and evaluate a small attention-augmented CNN.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--per-class", type=int, default=40)
-    p.add_argument("--size", type=int, default=32, help="square image extent")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train on a manifest dataset")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--data", required=True, help="manifest CSV path")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--no-fab", action="store_true",
-                   help="ablation: drop the attention block")
-    p.add_argument("--freeze-backbone", action="store_true")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--report", required=True, help="report output directory")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="classify one PPM/PGM image")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--image", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("gradcheck",
-                       help="verify backward rules against finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
+    # The usage line names every subcommand either way. A one-command build
+    # sets the metavar, whose default would list only the one built; the
+    # full parser keeps the default, as its "required" and "invalid choice"
+    # errors name the argument "command" only while the metavar is unset.
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        commands = COMMANDS
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+        commands = {command: COMMANDS[command]}
+    for name, (help_text, arguments, handler) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; argv defaults to ``sys.argv[1:]``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Help, no arguments and an unknown command need the full parser.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (FabnetError, OSError) as exc:

@@ -165,6 +165,10 @@ def _check_class_names(cfg: ModelConfig, class_names) -> list:
     if len(class_names) != cfg.num_classes:
         raise ConfigError(f"{len(class_names)} class names for "
                           f"{cfg.num_classes} classes")
+    for name in class_names:
+        # The checkpoint header joins the names with ',' on one line.
+        if "," in name or len(f"{name}.".splitlines()) > 1:
+            raise ConfigError(f"class name {name!r} holds ',' or a line break")
     return list(class_names)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: flags, files, determinism, exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fabnet
-from fabnet.cli import RunConfig, load_run_config, main
+import fabnet.cli
+from fabnet.cli import (COMMANDS, RunConfig, build_parser, load_run_config,
+                        main)
 from fabnet.errors import ConfigError
 from fabnet.model import ModelConfig, load_checkpoint
 from fabnet.tensor import backward_fault
@@ -274,6 +276,61 @@ class TestGradcheck:
         assert all(r.passed for r in run_suite(seed=110, n_seeds=5))
 
 
+# A representative argv for each subcommand.
+COMMAND_ARGV = {
+    "synth": ["synth", "--out", "ds", "--per-class", "3", "--seed", "2"],
+    "train": ["train", "--data", "m.csv", "--out", "run", "--no-fab",
+              "--seed", "4"],
+    "eval": ["eval", "--checkpoint", "c.fabn", "--data", "m.csv",
+             "--report", "rep"],
+    "predict": ["predict", "--check", "c.fabn", "--im", "x.ppm"],
+    "gradcheck": ["gradcheck", "--seed", "5"],
+}
+
+
+def subcommand_parsers(parser) -> dict:
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParser:
+    def test_every_command_has_a_representative_argv(self):
+        assert list(COMMAND_ARGV) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_command_parser_matches_full_parser(self, command):
+        one, full = build_parser(command), build_parser()
+        argv = COMMAND_ARGV[command]
+        assert one.parse_args(argv) == full.parse_args(argv)
+        assert (subcommand_parsers(one)[command].format_help()
+                == subcommand_parsers(full)[command].format_help())
+        assert one.format_usage() == full.format_usage()
+
+    def test_only_the_named_command_is_built(self):
+        assert list(subcommand_parsers(build_parser("predict"))) == ["predict"]
+        assert list(subcommand_parsers(build_parser())) == list(COMMANDS)
+
+    def test_main_reads_the_command_from_sys_argv(self, tmp_path,
+                                                  monkeypatch):
+        built = []
+        monkeypatch.setattr(fabnet.cli, "build_parser", lambda command=None: (
+            built.append(command) or build_parser(command)))
+        monkeypatch.setattr(sys, "argv", [
+            "fabnet", "synth", "--out", str(tmp_path / "ds"), "--classes", "2",
+            "--per-class", "1", "--size", "4"])
+        assert main() == 0
+        assert built == ["synth"]
+        assert (tmp_path / "ds" / "manifest.csv").is_file()
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1"]])
+    def test_no_command_gets_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "{synth,train,eval,predict,gradcheck}" in capsys.readouterr().err
+
+
 BAD_INPUTS = [
     ("synth", ["--classes", "1"]),
     ("synth", ["--per-class", "0"]),
@@ -290,6 +347,7 @@ BAD_INPUTS = [
     ("train", "fab_ratio=0"),
     ("train", "seed=-1"),
     ("train", ["--seed", "-1"]),
+    ("gradcheck", ["--seed", "-1"]),
 ] + [("predict", fault) for fault in CHECKPOINT_FAULTS]
 
 
@@ -302,6 +360,8 @@ class TestBadInput:
         # as a traceback on stderr and a different exit code.
         if command == "synth":
             argv = ["synth", "--out", str(tmp_path / "ds")] + bad
+        elif command == "gradcheck":
+            argv = ["gradcheck"] + bad
         elif command == "predict":
             corrupt, _ = CHECKPOINT_FAULTS[bad]
             checkpoint = tmp_path / "bad.fabn"

@@ -399,6 +399,11 @@ class TestCheckpoint:
         assert loaded.class_names == names
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\r", "a\u2028b"])
+    def test_class_name_the_header_cannot_hold_rejected(self, bad):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            build_model(TINY, seed=17, class_names=[bad, "c", "d"])
+
     @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
     def test_corrupt_bytes_rejected(self, tmp_path, fault):
         corrupt, message = CHECKPOINT_FAULTS[fault]
