@@ -263,7 +263,9 @@ def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; requires even spatial extents.
 
     The backward rule routes each window's gradient to its first maximum
-    in row-major window order.
+    in row-major window order. A tracked ``x`` marks those maxima in a
+    one-byte mask during the forward, so the rule keeps neither ``x``
+    nor the output alive; an untracked one records no rule.
     """
     n, h, w, c = x.shape
     if h % 2 or w % 2:
@@ -273,15 +275,18 @@ def maxpool2x2(x: Tensor) -> Tensor:
     out = np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1])
     np.maximum(out, windows[:, :, 1, :, 0], out=out)
     np.maximum(out, windows[:, :, 1, :, 1], out=out)
+    if not x.tracked:
+        return Tensor(out)
+
+    hit = windows == out[:, :, None, :, None, :]
+    # Keep only each window's first maximum in row-major order.
+    seen = hit[:, :, 0, :, 0].copy()
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        tap = hit[:, :, i, :, j]
+        tap &= ~seen
+        seen |= tap
 
     def back(g):
-        hit = windows == out[:, :, None, :, None, :]
-        # Keep only each window's first maximum in row-major order.
-        seen = hit[:, :, 0, :, 0].copy()
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            tap = hit[:, :, i, :, j]
-            tap &= ~seen
-            seen |= tap
         # g at the winners and +0.0 elsewhere, by ANDing the bits of g with
         # all-ones or all-zeros masks: the bytes of np.where(hit, g, 0.0)
         # at about half its cost.
@@ -472,38 +477,44 @@ def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         blob = fh.read()
 
-    def take(n, what):
+    def claim(n, what):
+        """Offset of the next ``n`` bytes of ``blob``, which must exist."""
         nonlocal offset
         if offset + n > len(blob):
             raise FormatError(f"truncated checkpoint while reading {what}")
-        piece = blob[offset:offset + n]
         offset += n
-        return piece
+        return offset - n
+
+    def take(n, what):
+        start = claim(n, what)
+        return blob[start:start + n]
 
     offset = 0
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    (version,) = struct.unpack_from("<I", blob, claim(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (text_len,) = struct.unpack("<I", take(4, "config length"))
+    (text_len,) = struct.unpack_from("<I", blob, claim(4, "config length"))
     cfg, class_names, table = _config_from_text(
         _utf8(take(text_len, "config"), "checkpoint config"))
 
     # Every record must match the table by name and shape and hold only
     # finite values; the model is then assembled in table order, so
     # nothing is drawn and a load -> save round trip is byte-identical.
+    # Values are copied once, straight out of ``blob``.
     loaded: dict = {}
     while offset < len(blob):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        (name_len,) = struct.unpack_from("<I", blob, claim(4, "name length"))
         name = _utf8(take(name_len, "name"), "parameter name")
         if name in loaded:
             raise FormatError(f"duplicate parameter record {name!r}")
-        shape = Shape4(*struct.unpack("<4Q", take(32, "shape")))
+        shape = Shape4(*struct.unpack_from("<4Q", blob, claim(32, "shape")))
         if name in table and shape != table[name][0]:
             raise FormatError(f"shape table mismatch for {name}")
-        raw = take(shape.element_count * 8, f"values of {name}")
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        count = shape.element_count
+        start = claim(count * 8, f"values of {name}")
+        data = np.frombuffer(blob, "<f8", count, start).reshape(shape).copy()
         if not np.isfinite(data).all():
             raise FormatError(f"non-finite value in {name}")
         loaded[name] = data

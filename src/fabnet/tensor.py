@@ -279,11 +279,15 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def backward(tape: Tape, loss: Union[Tensor, int]) -> dict:
-    """Reverse-mode gradients of a scalar loss for every tracked node.
+    """Reverse-mode gradients of a scalar loss for every reached leaf.
 
     Seeds the loss gradient with 1 and sweeps the tape once in reverse
-    id order, so repeated runs are bit-identical. Returns node_id ->
-    gradient tensor of the node's shape.
+    id order, so repeated runs are bit-identical. Returns leaf node_id ->
+    gradient tensor of the leaf's shape, for the leaves (the nodes
+    ``Tape.watch`` records) that the loss depends on. A non-leaf node's
+    gradient is freed as soon as its rule has consumed it, so the sweep
+    holds only the gradients still owed to earlier nodes; the nodes and
+    their rules stay on the tape and remain callable afterwards.
     """
     if isinstance(loss, Tensor):
         if loss.tape is not tape or loss.node_id is None:
@@ -298,13 +302,10 @@ def backward(tape: Tape, loss: Union[Tensor, int]) -> dict:
 
     grads: dict = {loss_id: np.ones((1, 1, 1, 1))}
     for nid in range(loss_id, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
         node = tape.nodes[nid]
-        if node.backward is None:
+        if node.backward is None or nid not in grads:
             continue
-        for pid, pg in zip(node.parents, node.backward(g)):
+        for pid, pg in zip(node.parents, node.backward(grads.pop(nid))):
             if pid is None or pg is None:
                 continue
             prev = grads.get(pid)

@@ -202,26 +202,31 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
     state = AdamState()
     curve = EpochCurve()
     n_train = len(data.train_y)
-    for epoch in range(1, cfg.max_epochs + 1):
-        loss_sum = 0.0
-        correct = 0
-        for batch_no, batch in enumerate(
-                batch_iterator(np.arange(n_train), cfg.batch_size,
-                               cfg.seed, epoch)):
-            yb = data.train_y[batch]
-            loss_value, hits = _train_step(model, data.train_x[batch], yb,
-                                           state, cfg, epoch, batch_no)
-            loss_sum += loss_value * len(yb)
-            correct += hits
-        val_loss, val_preds = _forward_dataset(model, data.test_x, data.test_y)
-        curve.records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / n_train,
-            train_acc=correct / n_train,
-            val_loss=val_loss,
-            val_acc=float(np.mean(val_preds == data.test_y)),
-        ))
-        curve.val_preds = val_preds
+    # In a diverging run, overflow ends in a non-finite loss or parameter,
+    # which the DivergenceError checks name; numpy's warnings would only
+    # bury that one error line.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            loss_sum = 0.0
+            correct = 0
+            for batch_no, batch in enumerate(
+                    batch_iterator(np.arange(n_train), cfg.batch_size,
+                                   cfg.seed, epoch)):
+                yb = data.train_y[batch]
+                loss_value, hits = _train_step(model, data.train_x[batch], yb,
+                                               state, cfg, epoch, batch_no)
+                loss_sum += loss_value * len(yb)
+                correct += hits
+            val_loss, val_preds = _forward_dataset(model, data.test_x,
+                                                   data.test_y)
+            curve.records.append(EpochRecord(
+                epoch=epoch,
+                train_loss=loss_sum / n_train,
+                train_acc=correct / n_train,
+                val_loss=val_loss,
+                val_acc=float(np.mean(val_preds == data.test_y)),
+            ))
+            curve.val_preds = val_preds
     return model, curve
 
 

@@ -347,6 +347,7 @@ BAD_INPUTS = [
     ("train", "fab_ratio=0"),
     ("train", "seed=-1"),
     ("train", ["--seed", "-1"]),
+    ("train", "learning_rate=1e308"),   # diverges: no numpy warnings
     ("gradcheck", ["--seed", "-1"]),
 ] + [("predict", fault) for fault in CHECKPOINT_FAULTS]
 

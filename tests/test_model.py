@@ -275,6 +275,21 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             maxpool2x2(Tensor(np.zeros((1, 3, 4, 1))))
 
+    def test_rule_keeps_a_one_byte_mask_not_the_input(self):
+        # The backward rule must not pin the input or the output for the
+        # tape's lifetime: it may hold one byte per input element.
+        tape = Tape()
+        x = tensor_new((2, 4, 6, 3),
+                       np.random.default_rng(22).uniform(-1, 1, 144),
+                       track=True, tape=tape)
+        out = maxpool2x2(x)
+        rule = tape.nodes[out.node_id].backward
+        arrays = [cell.cell_contents for cell in rule.__closure__
+                  if isinstance(cell.cell_contents, np.ndarray)]
+        assert arrays
+        assert not any(np.shares_memory(a, x.data) for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= x.data.size
+
     def test_matches_loop_oracle_on_ties(self):
         # Every window over {0, 1, 2}: all-zero windows, and ties between
         # the maxima at every combination of window positions. Values are

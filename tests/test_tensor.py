@@ -237,6 +237,20 @@ class TestBackward:
         grads = backward(tape, sum_all(sigmoid(x)))
         assert list(grads[x.node_id].values) == [0.25, 0.25, 0.25]
 
+    def test_returns_only_reached_leaves(self):
+        # Gradients of intermediate nodes are freed during the sweep, and
+        # every rule stays callable afterwards.
+        tape = Tape()
+        x = tensor_new((1, 2, 2, 1), [1.0, -2.0, 3.0, 4.0], track=True,
+                       tape=tape)
+        tensor_new((1, 1, 1, 1), [5.0], track=True, tape=tape)  # never reached
+        loss = sum_all(mean_spatial(relu(x)))
+        grads = backward(tape, loss)
+        assert set(grads) == {x.node_id}
+        assert list(grads[x.node_id].values) == [0.25, 0.0, 0.25, 0.25]
+        (g,) = tape.nodes[loss.node_id].backward(np.ones((1, 1, 1, 1)))
+        assert list(g.reshape(-1)) == [1.0]
+
     def test_loss_must_be_scalar(self):
         tape = Tape()
         x = tensor_new((1, 1, 1, 2), [1.0, 2.0], track=True, tape=tape)
