@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import (SplitSpec, decode_image, load_manifest, load_samples,
                    preprocess, stratified_split, synth_generate)
-from .errors import ConfigError, FabnetError
+from .errors import ConfigError, FabnetError, decode_utf8
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
                     parse_blocks, parse_bool, read_settings, save_checkpoint)
 from .tensor import Tensor
@@ -70,9 +70,10 @@ _RUN_PARSERS = {
 
 def load_run_config(path) -> RunConfig:
     """Parse a flat key=value file with '#' comments; unknown or repeated keys fail."""
+    text = decode_utf8(Path(path).read_bytes(), f"config file {path}", ConfigError)
     # Drop comments and the padding around each line and its first '='.
     lines = [re.sub(r"\s*=\s*", "=", line.split("#", 1)[0].strip(), count=1)
-             for line in Path(path).read_text().splitlines()]
+             for line in text.splitlines()]
     try:
         return RunConfig(**read_settings(lines, _RUN_PARSERS, "config"))
     except ConfigError as exc:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ImageFormatError, ManifestError, SplitError
+from .errors import ImageFormatError, ManifestError, SplitError, decode_utf8
 from .tensor import Tensor, tensor_new
 
 
@@ -46,7 +46,7 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = decode_utf8(path.read_bytes(), f"manifest {path}", ManifestError).splitlines()
     if not lines or lines[0].strip() != "path,label":
         raise ManifestError("manifest must start with a 'path,label' header")
     entries = []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a UTF-8 decode raising them."""
 
 
 class FabnetError(Exception):
@@ -40,3 +40,11 @@ class DivergenceError(FabnetError):
     The message names the epoch and batch, and the parameter if one is
     at fault.
     """
+
+
+def decode_utf8(raw: bytes, what: str, error: type) -> str:
+    """``raw`` as UTF-8 text; raises ``error`` naming ``what`` if it is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {exc}") from exc

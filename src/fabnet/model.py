@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import (FabParams, fab_forward, fab_init, glorot_uniform,
                         he_uniform)
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, decode_utf8
 from .tensor import Shape4, Tape, Tensor, dense, mean_spatial, relu, _emit
 
 CHECKPOINT_MAGIC = b"FABN"
@@ -297,13 +297,18 @@ def maxpool2x2(x: Tensor) -> Tensor:
     return _emit("maxpool2x2", (x,), out, back)
 
 
-def model_forward(m: Model, x: Tensor) -> Tensor:
+def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
 
     A pooling block runs conv → pool → ReLU, the same function as VGG's
     conv → ReLU → pool (``relu(maxpool(y)) == maxpool(relu(y))`` bit for
     bit) at a quarter of the ReLU work. Gradients differ at most in the
     sign of exact zeros, which the following sums erase.
+
+    ``observe(name, value)``, if given, sees in order each block's conv
+    output before pool and ReLU as ``"block<i>.conv"``, the attention
+    block's ``FabActivations`` as ``"fab"`` and the head's hidden
+    pre-activation as ``"head.hidden"``. Off, it costs one test per block.
     """
     n, h, w, c = x.shape
     if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
@@ -313,39 +318,26 @@ def model_forward(m: Model, x: Tensor) -> Tensor:
     for i, blk in enumerate(m.config.blocks):
         t = conv2d(t, m.params[f"block{i}.conv.weight"],
                    m.params[f"block{i}.conv.bias"])
+        if observe is not None:
+            observe(f"block{i}.conv", t)
         if blk.pool:
             t = maxpool2x2(t)
         t = relu(t)
     if m.config.use_fab:
-        t = fab_forward(t, m.fab_params()).out
-    t = mean_spatial(t)
-    t = relu(dense(t, m.params["head.hidden.weight"],
-                   m.params["head.hidden.bias"]))
-    return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])
+        acts = fab_forward(t, m.fab_params())
+        if observe is not None:
+            observe("fab", acts)
+        t = acts.out
+    t = dense(mean_spatial(t), m.params["head.hidden.weight"],
+              m.params["head.hidden.bias"])
+    if observe is not None:
+        observe("head.hidden", t)
+    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
 
 
 def trainable_parameters(m: Model) -> list:
     """Ordered (name, tensor) pairs of the parameters the optimizer may touch."""
     return [(name, t) for name, t in m.params.items() if m.trainable[name]]
-
-
-def _config_text(cfg: ModelConfig, class_names) -> str:
-    blocks = ",".join(
-        f"{b.out_channels}:pool" if b.pool else str(b.out_channels)
-        for b in cfg.blocks)
-    lines = [
-        f"input_height={cfg.input_size[0]}",
-        f"input_width={cfg.input_size[1]}",
-        f"in_channels={cfg.in_channels}",
-        f"blocks={blocks}",
-        f"use_fab={'true' if cfg.use_fab else 'false'}",
-        f"fab_ratio={cfg.fab_ratio}",
-        f"head_hidden={cfg.head_hidden}",
-        f"num_classes={cfg.num_classes}",
-        f"freeze_backbone={'true' if cfg.freeze_backbone else 'false'}",
-        "class_names=" + ",".join(class_names),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def parse_blocks(text: str) -> tuple:
@@ -402,12 +394,29 @@ def read_settings(lines, parsers: dict, what: str) -> dict:
     return settings
 
 
-_HEADER_PARSERS = {
-    "input_height": int, "input_width": int, "in_channels": int,
-    "blocks": parse_blocks, "use_fab": parse_bool, "fab_ratio": int,
-    "head_hidden": int, "num_classes": int, "freeze_backbone": parse_bool,
-    "class_names": lambda value: value.split(","),
+# The checkpoint header, one ``key=value`` line per key in this order: key ->
+# (parser of the value, its text for a config and class names). Every key
+# but the input size's and the class names' names a ModelConfig field.
+_HEADER_FIELDS = {
+    "input_height": (int, lambda cfg, names: str(cfg.input_size[0])),
+    "input_width": (int, lambda cfg, names: str(cfg.input_size[1])),
+    "in_channels": (int, lambda cfg, names: str(cfg.in_channels)),
+    "blocks": (parse_blocks, lambda cfg, names: ",".join(
+        f"{b.out_channels}:pool" if b.pool else str(b.out_channels)
+        for b in cfg.blocks)),
+    "use_fab": (parse_bool, lambda cfg, names: str(cfg.use_fab).lower()),
+    "fab_ratio": (int, lambda cfg, names: str(cfg.fab_ratio)),
+    "head_hidden": (int, lambda cfg, names: str(cfg.head_hidden)),
+    "num_classes": (int, lambda cfg, names: str(cfg.num_classes)),
+    "freeze_backbone": (parse_bool, lambda cfg, names: str(cfg.freeze_backbone).lower()),
+    "class_names": (lambda text: text.split(","), lambda cfg, names: ",".join(names)),
 }
+_HEADER_PARSERS = {key: parse for key, (parse, _) in _HEADER_FIELDS.items()}
+
+
+def _config_text(cfg: ModelConfig, class_names) -> str:
+    return "".join(f"{key}={text(cfg, class_names)}\n"
+                   for key, (_, text) in _HEADER_FIELDS.items())
 
 
 def _config_from_text(text: str) -> tuple:
@@ -420,28 +429,18 @@ def _config_from_text(text: str) -> tuple:
                                "checkpoint config")
     except ConfigError as exc:
         raise FormatError(f"checkpoint config line {exc}") from exc
+    for key in _HEADER_FIELDS:
+        if key not in fields:
+            raise FormatError(f"missing checkpoint config key {key!r}")
+    size = (fields.pop("input_height"), fields.pop("input_width"))
+    names = fields.pop("class_names")
     try:
-        cfg = ModelConfig(
-            input_size=(fields["input_height"], fields["input_width"]),
-            in_channels=fields["in_channels"], blocks=fields["blocks"],
-            use_fab=fields["use_fab"], fab_ratio=fields["fab_ratio"],
-            head_hidden=fields["head_hidden"],
-            num_classes=fields["num_classes"],
-            freeze_backbone=fields["freeze_backbone"])
-        class_names = _check_class_names(cfg, fields["class_names"])
+        cfg = ModelConfig(input_size=size, **fields)
+        class_names = _check_class_names(cfg, names)
         table = param_table(cfg)
-    except KeyError as exc:
-        raise FormatError(f"missing checkpoint config key {exc}") from exc
     except ConfigError as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
     return cfg, class_names, table
-
-
-def _utf8(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def save_checkpoint(m: Model, path) -> None:
@@ -497,7 +496,7 @@ def load_checkpoint(path) -> Model:
         raise FormatError(f"unsupported checkpoint version {version}")
     (text_len,) = struct.unpack_from("<I", blob, claim(4, "config length"))
     cfg, class_names, table = _config_from_text(
-        _utf8(take(text_len, "config"), "checkpoint config"))
+        decode_utf8(take(text_len, "config"), "checkpoint config", FormatError))
 
     # Every record must match the table by name and shape and hold only
     # finite values; the model is then assembled in table order, so
@@ -506,7 +505,7 @@ def load_checkpoint(path) -> Model:
     loaded: dict = {}
     while offset < len(blob):
         (name_len,) = struct.unpack_from("<I", blob, claim(4, "name length"))
-        name = _utf8(take(name_len, "name"), "parameter name")
+        name = decode_utf8(take(name_len, "name"), "parameter name", FormatError)
         if name in loaded:
             raise FormatError(f"duplicate parameter record {name!r}")
         shape = Shape4(*struct.unpack_from("<4Q", blob, claim(32, "shape")))

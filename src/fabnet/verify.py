@@ -2,9 +2,11 @@
 
 Each check builds a scalar-valued function around one op (or around the
 attention block / the whole model) and compares reverse-mode gradients
-against central differences for every input leg. Inputs near ReLU or
-max-pool decision boundaries are nudged away, since finite differences
-are meaningless across a kink.
+against central differences for every input leg. Inputs whose forward
+pass sits near a ReLU or max-pool decision boundary are redrawn, since
+finite differences are meaningless across a kink; the margins are read
+from the real forward (``fab_forward``'s activations, and
+``model_forward``'s observer for the whole model).
 """
 
 from __future__ import annotations
@@ -123,13 +125,11 @@ def _check_softmax_cross_entropy(rng):
 def _check_attention_block(rng):
     # Redraw until no bottleneck pre-activation sits near the ReLU kink.
     for _ in range(64):
-        x = _uniform(rng, (2, 4, 4, 8))
+        x = _t(_uniform(rng, (2, 4, 4, 8)))
         params = fab_init(8, 4, rng)
-        pooled = x.mean(axis=(1, 2)).reshape(2, 8)
-        pre = pooled @ params.w_reduce.data.reshape(2, 8).T
-        if np.abs(pre).min() > 1e-3:
+        pooled = fab_forward(x, params).pooled
+        if np.abs(dense(pooled, params.w_reduce, params.b_reduce).data).min() > 1e-3:
             break
-    x = _t(x)
 
     def composite(leaf):
         return sum_all(fab_forward(leaf, params).out)
@@ -155,40 +155,31 @@ def _kink_margin(model, x: Tensor) -> float:
 
     That is the smallest |pre-activation| over every ReLU, and the
     smallest gap between the two largest values of every max-pool window
-    whose maximum is positive (windows of ReLU zeros stay flat).
-
-    It walks each pooling block in VGG's conv → ReLU → pool order on
-    purpose, although ``model_forward`` runs conv → pool → ReLU. This
-    order's margin bounds the other's from below: it checks every conv
-    pre-activation, a superset of the pooled ones, and a window's top-two
-    gap after ReLU is at most its gap before. So it covers every kink,
-    and keeping it keeps the inputs ``model_loss`` draws unchanged.
+    whose maximum is positive (windows of ReLU zeros stay flat), read
+    from ``model_forward``'s observer. Pooling blocks are measured in
+    VGG's conv → ReLU → pool order (every conv output ``y``, windows of
+    ``max(y, 0)``): ReLU is monotone, so that bounds the model's own
+    margin from below and keeps the inputs ``model_loss`` draws.
     """
+    pooling = {f"block{i}.conv": b.pool for i, b in enumerate(model.config.blocks)}
     margins = []
 
-    def checked_relu(pre):
-        margins.append(np.abs(pre.data).min())
-        return relu(pre)
-
-    t = x
-    for i, blk in enumerate(model.config.blocks):
-        t = checked_relu(conv2d(t, model.params[f"block{i}.conv.weight"],
-                                model.params[f"block{i}.conv.bias"]))
-        if blk.pool:
-            n, h, w, c = t.shape
-            windows = np.sort(t.data.reshape(n, h // 2, 2, w // 2, 2, c)
+    def observe(name, value):
+        if name == "fab":
+            p = model.fab_params()
+            value = dense(value.pooled, p.w_reduce, p.b_reduce)
+        margins.append(np.abs(value.data).min())
+        if pooling.get(name):
+            n, h, w, c = value.shape
+            windows = np.sort(np.maximum(value.data, 0.0)
+                              .reshape(n, h // 2, 2, w // 2, 2, c)
                               .transpose(0, 1, 3, 5, 2, 4)
                               .reshape(-1, 4), axis=1)
             live = windows[:, 3] > 0.0
             if live.any():
                 margins.append((windows[live, 3] - windows[live, 2]).min())
-            t = maxpool2x2(t)
-    if model.config.use_fab:
-        p = model.fab_params()
-        checked_relu(dense(mean_spatial(t), p.w_reduce, p.b_reduce))
-        t = fab_forward(t, p).out
-    checked_relu(dense(mean_spatial(t), model.params["head.hidden.weight"],
-                       model.params["head.hidden.bias"]))
+
+    model_forward(model, x, observe)
     return min(margins)
 
 

@@ -349,6 +349,11 @@ BAD_INPUTS = [
     ("train", ["--seed", "-1"]),
     ("train", "learning_rate=1e308"),   # diverges: no numpy warnings
     ("gradcheck", ["--seed", "-1"]),
+    # (flag, bytes of the file it names): text files must be UTF-8.
+    pytest.param("train", ("--config", b"seed=\xff\n"),
+                 id="train config not UTF-8"),
+    pytest.param("train", ("--data", b"path,label\nimg\xff.ppm,a\n"),
+                 id="train manifest not UTF-8"),
 ] + [("predict", fault) for fault in CHECKPOINT_FAULTS]
 
 
@@ -377,6 +382,10 @@ class TestBadInput:
             if isinstance(bad, str):
                 (tmp_path / "bad.cfg").write_text(bad + "\n")
                 argv += ["--config", str(tmp_path / "bad.cfg")]
+            elif isinstance(bad, tuple):
+                flag, content = bad
+                (tmp_path / "bad.file").write_bytes(content)
+                argv += [flag, str(tmp_path / "bad.file")]
             else:
                 argv += bad
         env = dict(os.environ,

@@ -11,6 +11,7 @@ import pytest
 
 import fabnet.model
 import fabnet.training
+from fabnet.attention import FabActivations
 from fabnet.errors import ConfigError, FormatError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
                           feature_map_size, load_checkpoint, maxpool2x2,
@@ -182,6 +183,45 @@ class TestBlockOrder:
             runs.append((curve.to_csv(),
                          {name: t.data.tobytes() for name, t in m.params.items()}))
         assert runs[0] == runs[1]
+
+
+class TestObserver:
+    """model_forward's observer sees the forward's own stages, in order."""
+
+    def test_observed_run_matches_plain_run(self):
+        m, x = _kinked_model_and_batch()
+        seen = []
+
+        def observed(m, xt):
+            return model_forward(m, xt, lambda name, value: seen.append(name))
+
+        logits, grads, grad_x = _logits_and_grads(model_forward, m, x)
+        obs_logits, obs_grads, obs_grad_x = _logits_and_grads(observed, m, x)
+        assert obs_logits.tobytes() == logits.tobytes()
+        for name in m.params:
+            assert obs_grads[name].tobytes() == grads[name].tobytes(), name
+        assert obs_grad_x.tobytes() == grad_x.tobytes()
+        assert seen == ["block0.conv", "block1.conv", "fab", "head.hidden"]
+
+    def test_values_are_the_stages(self):
+        m, x = _kinked_model_and_batch()
+        seen = {}
+        model_forward(m, Tensor(x), seen.__setitem__)
+        conv0 = conv2d(Tensor(x), m.params["block0.conv.weight"],
+                       m.params["block0.conv.bias"])
+        assert seen["block0.conv"].data.tobytes() == conv0.data.tobytes()
+        assert seen["block1.conv"].shape == (4, 4, 4, 8)
+        assert isinstance(seen["fab"], FabActivations)
+        assert seen["fab"].out.shape == (4, 2, 2, 8)
+        assert seen["head.hidden"].shape == (4, 1, 1, 8)
+        assert np.any(seen["head.hidden"].data < 0.0)   # before its ReLU
+
+    def test_no_fab_stage_without_attention(self):
+        seen = []
+        m = build_model(replace(TINY, use_fab=False), seed=35)
+        model_forward(m, Tensor(np.zeros((2, 8, 8, 3))),
+                      lambda name, value: seen.append(name))
+        assert seen == ["block0.conv", "block1.conv", "head.hidden"]
 
 
 class TestConv2d:
