@@ -105,15 +105,15 @@ def cmd_train(args) -> int:
     split = SplitSpec(seed=run.seed)
     train_idx, test_idx = stratified_split(manifest, split)
     size = (run.image_size, run.image_size)
-    data = SplitData(*load_samples(manifest, train_idx, size),
-                     *load_samples(manifest, test_idx, size))
-
+    # The model checks the config before any image array is sized from it.
     model = build_model(
         ModelConfig(input_size=size, blocks=run.blocks, use_fab=run.use_fab,
                     fab_ratio=run.fab_ratio, head_hidden=run.head_hidden,
                     num_classes=len(manifest.class_names),
                     freeze_backbone=run.freeze_backbone),
         run.seed, class_names=manifest.class_names)
+    data = SplitData(*load_samples(manifest, train_idx, size),
+                     *load_samples(manifest, test_idx, size))
     model, curve = train(model, data, TrainConfig(
         learning_rate=run.learning_rate, batch_size=run.batch_size,
         max_epochs=run.max_epochs, seed=run.seed))

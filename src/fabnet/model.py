@@ -27,6 +27,10 @@ from .tensor import Shape4, Tape, Tensor, dense, mean_spatial, relu, _emit
 
 CHECKPOINT_MAGIC = b"FABN"
 CHECKPOINT_VERSION = 1
+# Largest input height or width a config or checkpoint may declare: well
+# above VGG's 224x224, and it holds one preprocessed image to 24 MiB, so a
+# size read from a file cannot ask for arrays of many GiB.
+MAX_INPUT_EXTENT = 1024
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,10 @@ def feature_map_size(cfg: ModelConfig) -> tuple:
 
 
 def validate_config(cfg: ModelConfig) -> None:
+    if max(cfg.input_size) > MAX_INPUT_EXTENT:
+        h, w = cfg.input_size
+        raise ConfigError(f"input size {h}x{w} exceeds {MAX_INPUT_EXTENT} "
+                          f"per side")
     if cfg.num_classes < 2:
         raise ConfigError("num_classes must be >= 2")
     if not cfg.blocks:
@@ -209,16 +217,33 @@ def build_model(cfg: ModelConfig, seed: int, class_names=None) -> Model:
     return _model_from_table(cfg, class_names, table, values)
 
 
+# Output pixels per block of conv2d's column workspace, rounded down to
+# whole images (at least one). Of 1024, 2048 and 4096, 1024 ran the default
+# 50-image sweep fastest (2-vCPU VM, one BLAS thread; 4096 was 10 % slower).
+_CONV_ROWS = 1024
+
+
+def _windows(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N, H, W, KH, KW, Cin) view of every output pixel's input window."""
+    return (sliding_window_view(padded, (kh, kw), axis=(1, 2))
+            .transpose(0, 1, 2, 4, 5, 3))
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlation with zero same-padding, stride 1.
 
     ``kernels`` is (KH, KW, Cin, Cout) with odd KH/KW; output spatial
-    size equals input size. The forward pass is one matmul over im2col
-    columns laid out (KH, KW, Cin) per output pixel (Chellapilla, Puri &
-    Simard, 2006). The backward rule takes the weight gradient from those
-    columns and builds the input gradient from one matmul per kernel tap,
-    added into a padded buffer at the tap's offset; that leg is skipped
-    when ``x`` is untracked.
+    size equals input size. The forward pass multiplies im2col columns,
+    laid out (KH, KW, Cin) per output pixel (Chellapilla, Puri & Simard,
+    2006), by the kernel matrix, one block of whole images at a time
+    through one workspace; a block changes only the matmul's row count,
+    so the output bytes equal those of one whole-batch matmul.
+
+    The backward rule keeps the padded input, a ninth of the columns'
+    size (Chen et al., arXiv:1604.06174): it rebuilds the columns for
+    the weight gradient and frees them before it builds the input
+    gradient from one matmul per kernel tap, added into a padded buffer
+    at the tap's offset; that leg is skipped when ``x`` is untracked.
     """
     n, h, w, cin = x.shape
     kh, kw, kcin, cout = kernels.shape
@@ -233,24 +258,31 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     # Zero border, interior copied in: the bytes of np.pad at lower cost.
     padded = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.data.dtype)
     padded[:, ph:ph + h, pw:pw + w, :] = x.data
-    # (N, H, W, Cin, KH, KW) windows -> contiguous (N, H, W, KH, KW, Cin).
-    cols = np.ascontiguousarray(
-        sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        .transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
     kdata = kernels.data
-    wmat = kdata.reshape(kh * kw * cin, cout)
-    out = cols @ wmat
+    ncol = kh * kw * cin   # entries per column
+    wmat = kdata.reshape(ncol, cout)
+    out = np.empty((n * h * w, cout))
+    per_block = max(1, _CONV_ROWS // (h * w))
+    windows = _windows(padded, kh, kw)
+    workspace = np.empty((min(per_block, n),) + windows.shape[1:],
+                         dtype=padded.dtype)
+    for start in range(0, n, per_block):
+        block = workspace[:min(per_block, n - start)]
+        np.copyto(block, windows[start:start + per_block])
+        np.matmul(block.reshape(-1, ncol), wmat,
+                  out=out[start * h * w:(start + len(block)) * h * w])
     out += bias.data.reshape(cout)
     out = out.reshape(n, h, w, cout)
-    padded_shape = padded.shape
     need_x = x.tracked
 
     def back(g):
+        cols = np.ascontiguousarray(_windows(padded, kh, kw)).reshape(-1, ncol)
         grad_w = (cols.T @ g.reshape(-1, cout)).reshape(kdata.shape)
+        del cols
         grad_b = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
         if not need_x:
             return (None, grad_w, grad_b)
-        grad_padded = np.zeros(padded_shape)
+        grad_padded = np.zeros(padded.shape)
         for i in range(kh):
             for j in range(kw):
                 grad_padded[:, i:i + h, j:j + w, :] += g @ kdata[i, j].T

@@ -89,6 +89,11 @@ CHECKPOINT_FAULTS = {
     "name not UTF-8": (_bad_utf8_name, "parameter name is not valid UTF-8"),
     "duplicate record": (_duplicate_last_record,
                          "duplicate parameter record 'head.out.bias'"),
+    "input size too large": (
+        lambda blob: _edit_config(_edit_config(
+            blob, "input_height", lambda v: "65536"),
+            "input_width", lambda v: "65536"),
+        "invalid checkpoint config: input size 65536x65536 exceeds 1024"),
     "fab_ratio does not divide": (
         lambda blob: _edit_config(blob, "fab_ratio", lambda v: "3"),
         "invalid checkpoint config: fab_ratio 3 must divide"),

@@ -2,15 +2,17 @@
 
 Everything here is deliberately written as straight-line Python loops
 over the mathematical definitions, with no shared code from the package
-beyond raw numpy arrays in and out. The one exception is
-``relu_then_pool_forward``: it pins the order of the model's ops rather
-than the ops themselves, so it composes the package's own differentiable
-ops.
+beyond raw numpy arrays in and out. Two are not loops:
+``relu_then_pool_forward`` pins the order of the model's ops rather than
+the ops themselves, so it composes the package's own differentiable ops;
+``conv2d_im2col_reference`` pins the bytes of one whole-batch im2col
+matmul, so it spells out that arithmetic in numpy.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fabnet.attention import fab_forward
 from fabnet.model import conv2d, maxpool2x2
@@ -49,6 +51,35 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                                     acc += x[i, sy, sx, ic] * w[dy, dx, ic, oc]
                     out[i, oy, ox, oc] = acc + b[0, 0, 0, oc]
     return out
+
+
+def conv2d_im2col_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                            g: np.ndarray):
+    """Same-padded stride-1 conv as one im2col matmul over the whole batch.
+
+    Returns the output and the gradients of ``sum(out * g)`` w.r.t. ``x``,
+    ``w`` and ``b``. The columns are laid out (KH, KW, Cin) per output
+    pixel; the weight gradient is one matmul over all of them, and the
+    input gradient adds one matmul per kernel tap into a padded buffer.
+    """
+    n, h, ww, cin = x.shape
+    kh, kw, _, cout = w.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    padded = np.zeros((n, h + 2 * ph, ww + 2 * pw, cin))
+    padded[:, ph:ph + h, pw:pw + ww, :] = x
+    cols = np.ascontiguousarray(
+        sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        .transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+    out = cols @ w.reshape(kh * kw * cin, cout)
+    out += b.reshape(cout)
+    grad_w = (cols.T @ g.reshape(-1, cout)).reshape(w.shape)
+    grad_b = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
+    grad_padded = np.zeros(padded.shape)
+    for i in range(kh):
+        for j in range(kw):
+            grad_padded[:, i:i + h, j:j + ww, :] += g @ w[i, j].T
+    return (out.reshape(n, h, ww, cout),
+            grad_padded[:, ph:ph + h, pw:pw + ww, :], grad_w, grad_b)
 
 
 def maxpool2x2_oracle(x: np.ndarray, g: np.ndarray):

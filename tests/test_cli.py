@@ -343,6 +343,7 @@ BAD_INPUTS = [
     ("train", "batch_size=0"),
     ("train", "max_epochs=0"),
     ("train", "image_size=0"),
+    ("train", "image_size=65536"),   # 192 GiB of input, never allocated
     ("train", "head_hidden=0"),
     ("train", "fab_ratio=0"),
     ("train", "seed=-1"),

@@ -13,16 +13,18 @@ import fabnet.model
 import fabnet.training
 from fabnet.attention import FabActivations
 from fabnet.errors import ConfigError, FormatError, ShapeError
-from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
-                          feature_map_size, load_checkpoint, maxpool2x2,
-                          model_forward, parse_blocks, save_checkpoint,
-                          trainable_parameters)
+from fabnet.model import (MAX_INPUT_EXTENT, ConvBlockSpec, ModelConfig,
+                          build_model, conv2d, feature_map_size,
+                          load_checkpoint, maxpool2x2, model_forward,
+                          parse_blocks, save_checkpoint, trainable_parameters,
+                          validate_config)
 from fabnet.tensor import (Tape, Tensor, _Node, backward, ew_mul, grad_check,
                            sum_all, tensor_new)
 from fabnet.training import (AdamState, SplitData, TrainConfig, adam_step,
                              softmax_cross_entropy, train)
 from checkpoint_faults import CHECKPOINT_FAULTS
-from oracles import conv2d_oracle, maxpool2x2_oracle, relu_then_pool_forward
+from oracles import (conv2d_im2col_reference, conv2d_oracle, maxpool2x2_oracle,
+                     relu_then_pool_forward)
 
 TINY = ModelConfig(input_size=(8, 8),
                    blocks=(ConvBlockSpec(4), ConvBlockSpec(8)),
@@ -47,6 +49,12 @@ class TestBuildModel:
     def test_zero_width_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             build_model(replace(TINY, **{field: 0}), seed=0)
+
+    def test_input_extent_bounded(self):
+        validate_config(replace(TINY, input_size=(MAX_INPUT_EXTENT, 8)))
+        for size in ((MAX_INPUT_EXTENT + 2, 8), (8, 65536)):
+            with pytest.raises(ConfigError, match="exceeds 1024 per side"):
+                validate_config(replace(TINY, input_size=size))
 
     def test_ablation_config_has_no_attention_params(self):
         m = build_model(ModelConfig(use_fab=False), seed=0)
@@ -291,6 +299,51 @@ class TestConv2d:
         assert xt_off.node_id is None and None not in grads_off
         assert gw_off.tobytes() == gw.tobytes()
         assert gb_off.tobytes() == gb.tobytes()
+
+    # (H, W, Cin, Cout) of the default config's three convs and of
+    # criterion 6's two.
+    CONV_SHAPES = [(32, 32, 3, 16), (16, 16, 16, 32), (8, 8, 32, 64),
+                   (16, 16, 3, 8), (8, 8, 8, 16)]
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 50, 64])
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=str)
+    def test_bytes_match_whole_batch_im2col(self, shape, n):
+        # The forward builds its columns a block of images at a time and
+        # the backward rebuilds them; neither may move a byte away from
+        # one matmul over the whole batch's columns. At 32x32, 50 images
+        # are not a whole number of blocks.
+        h, w, cin, cout = shape
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-2, 2, size=(n, h, w, cin))
+        k = rng.uniform(-1, 1, size=(3, 3, cin, cout))
+        b = rng.uniform(-1, 1, size=(1, 1, 1, cout))
+        g = rng.uniform(-1, 1, size=(n, h, w, cout))
+        tape = Tape()
+        leaves = [tensor_new(a.shape, a, track=True, tape=tape)
+                  for a in (x, k, b)]
+        out = conv2d(*leaves)
+        got = (out.data,) + tape.nodes[out.node_id].backward(g)
+        want = conv2d_im2col_reference(x, k, b, g)
+        for got_array, want_array in zip(got, want):
+            assert np.array_equal(got_array, want_array)
+        assert np.array_equal(
+            conv2d(Tensor(x), Tensor(k), Tensor(b)).data, want[0])
+
+    def test_rule_keeps_the_padded_input_not_the_columns(self):
+        # The backward rule rebuilds the im2col columns, nine times the
+        # padded input, rather than keeping them for the tape's lifetime.
+        tape = Tape()
+        x = tensor_new((2, 6, 6, 3),
+                       np.random.default_rng(24).uniform(-1, 1, 216),
+                       track=True, tape=tape)
+        k = Tensor(np.random.default_rng(25).uniform(-1, 1, (3, 3, 3, 4)))
+        out = conv2d(x, k, Tensor(np.zeros((1, 1, 1, 4))))
+        rule = tape.nodes[out.node_id].backward
+        arrays = [cell.cell_contents for cell in rule.__closure__
+                  if isinstance(cell.cell_contents, np.ndarray)]
+        padded_bytes = 2 * 8 * 8 * 3 * x.data.itemsize
+        assert arrays
+        assert max(a.nbytes for a in arrays) <= padded_bytes
 
 
 class TestMaxPool:

@@ -14,7 +14,8 @@ from fabnet.model import ConvBlockSpec, ModelConfig, build_model
 from fabnet.tensor import Tape, Tensor, backward, grad_check, tensor_new
 from fabnet.training import (AblationResult, AblationRow, AdamState, SplitData,
                              TrainConfig, ablation_run, adam_step, evaluate,
-                             _train_step, metrics_from_predictions,
+                             _forward_dataset, _train_step,
+                             metrics_from_predictions,
                              softmax_cross_entropy, softmax_probabilities,
                              train)
 from oracles import metrics_oracle
@@ -29,6 +30,16 @@ def tiny_data(seed=0, n_train=12, n_test=6, classes=3):
                      rng.integers(0, classes, n_train),
                      rng.uniform(0, 1, (n_test, 8, 8, 3)),
                      rng.integers(0, classes, n_test))
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes numpy and Python allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCrossEntropy:
@@ -167,8 +178,9 @@ class TestTrainLoop:
     def test_step_peak_memory(self):
         # One step on the default config (batch 16, 32x32) holds what its
         # backward still needs and nothing more: freed intermediate
-        # gradients and a one-byte max-pool mask put its peak at about
-        # 13.6 MiB, where keeping them all would take about 21.8 MiB.
+        # gradients, a one-byte max-pool mask and conv rules that keep the
+        # padded input put its peak at about 7.9 MiB, where keeping them
+        # all would take about 21.8 MiB.
         m = build_model(ModelConfig(), seed=0)
         rng = np.random.default_rng(0)
         xb = rng.uniform(0, 1, (16, 32, 32, 3))
@@ -180,6 +192,29 @@ class TestTrainLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_step_peak_without_conv_columns(self):
+        # The conv rules rebuild their im2col columns in the backward;
+        # keeping them took the step's peak to about 13.6 MiB.
+        m = build_model(ModelConfig(), seed=0)
+        rng = np.random.default_rng(0)
+        xb = rng.uniform(0, 1, (16, 32, 32, 3))
+        yb = rng.integers(0, 5, 16)
+        peak = _traced_peak(lambda: _train_step(
+            m, xb, yb, AdamState(), TrainConfig(), 1, 0))
+        assert peak <= 10 * 2**20
+
+    def test_validation_sweep_peak_memory(self):
+        # The untracked sweep runs 50 images in one batch; its convs build
+        # columns a block of images at a time in one workspace (about
+        # 7.9 MiB peak), where the whole batch's columns at once peaked at
+        # about 20.8 MiB.
+        m = build_model(ModelConfig(), seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, (50, 32, 32, 3))
+        y = rng.integers(0, 5, 50)
+        peak = _traced_peak(lambda: _forward_dataset(m, x, y))
+        assert peak <= 10 * 2**20
 
     def test_needs_an_epoch(self):
         with pytest.raises(ConfigError, match="max_epochs"):
