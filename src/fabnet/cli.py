@@ -243,8 +243,10 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except (FabnetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # MemoryError: a size no bound covers, such as a huge head or block
+    # width, asked numpy for more memory than the process can have.
+    except (FabnetError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

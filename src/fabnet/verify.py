@@ -1,21 +1,25 @@
 """Finite-difference verification of every backward rule.
 
-Each check builds a scalar-valued function around one op (or around the
-attention block / the whole model) and compares reverse-mode gradients
-against central differences for every input leg. Inputs whose forward
-pass sits near a ReLU or max-pool decision boundary are redrawn, since
-finite differences are meaningless across a kink; the margins are read
-from the real forward (``fab_forward``'s activations, and
-``model_forward``'s observer for the whole model).
+A check yields one ``(f, x)`` pair per input leg, and ``grad_check``
+compares the reverse-mode gradient of the scalar ``f`` at ``x`` against
+central differences. The per-op checks are rows of one table over one
+helper, ``_legs``, which puts a leaf in each operand's place in turn;
+the attention block goes through the same helper, and softmax
+cross-entropy and the whole model, which need labels and a parameter
+swap, have checks of their own. Inputs whose forward pass sits near a
+ReLU or max-pool decision boundary are redrawn, since finite differences
+are meaningless across a kink; the margins are read from the real
+forward (``fab_forward``'s activations, and ``model_forward``'s observer
+for the whole model).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import fab_forward, fab_init
+from .attention import FabParams, fab_forward, fab_init
 from .model import ConvBlockSpec, ModelConfig, build_model, conv2d, maxpool2x2, model_forward
 from .tensor import Tensor, dense, ew_add, ew_mul, grad_check, mean_spatial, relu, sigmoid, sum_all
 from .training import softmax_cross_entropy
@@ -35,89 +39,33 @@ class CheckResult:
         return self.max_error < self.tolerance
 
 
-def _uniform(rng, shape, away_from_zero: float = 0.0) -> np.ndarray:
+def _uniform(rng, shape, scale: float = 1.0, away_from_zero: float = 0.0) -> Tensor:
     x = rng.uniform(-2.0, 2.0, size=shape)
     if away_from_zero:
         x[np.abs(x) < away_from_zero] += 0.5
-    return x
+    return Tensor(x * scale)
 
 
-def _distinct(rng, shape) -> np.ndarray:
+def _distinct(rng, shape) -> Tensor:
     # Distinct values with generous spacing, for argmax-based ops.
     count = int(np.prod(shape))
-    return (rng.permutation(count).reshape(shape) * (4.0 / count)) - 2.0
+    return Tensor((rng.permutation(count).reshape(shape) * (4.0 / count)) - 2.0)
 
 
-def _t(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64))
+def _legs(op, *operands):
+    """Yield ``(f, operands[i])`` for each operand of ``op`` in turn.
 
-
-def _check_ew_add(rng):
-    a = _t(_uniform(rng, (2, 3, 3, 4)))
-    b = _t(_uniform(rng, (2, 3, 3, 4)))
-    yield lambda leaf: sum_all(ew_add(leaf, b)), a
-    yield lambda leaf: sum_all(ew_add(a, leaf)), b
-
-
-def _check_ew_mul(rng):
-    a = _t(_uniform(rng, (2, 3, 3, 4)))
-    b = _t(_uniform(rng, (2, 3, 3, 4)))
-    yield lambda leaf: sum_all(ew_mul(leaf, b)), a
-    yield lambda leaf: sum_all(ew_mul(a, leaf)), b
-
-
-def _check_ew_mul_gate(rng):
-    a = _t(_uniform(rng, (2, 3, 3, 4)))
-    gate = _t(_uniform(rng, (2, 1, 1, 4)))
-    yield lambda leaf: sum_all(ew_mul(leaf, gate)), a
-    yield lambda leaf: sum_all(ew_mul(a, leaf)), gate
-
-
-def _check_mean_spatial(rng):
-    x = _t(_uniform(rng, (2, 4, 4, 3)))
-    yield lambda leaf: sum_all(mean_spatial(leaf)), x
-
-
-def _check_dense(rng):
-    x = _t(_uniform(rng, (3, 1, 1, 5)))
-    w = _t(_uniform(rng, (1, 1, 4, 5)))
-    b = _t(_uniform(rng, (1, 1, 1, 4)))
-    yield lambda leaf: sum_all(dense(leaf, w, b)), x
-    yield lambda leaf: sum_all(dense(x, leaf, b)), w
-    yield lambda leaf: sum_all(dense(x, w, leaf)), b
-
-
-def _check_relu(rng):
-    x = _t(_uniform(rng, (2, 3, 3, 4), away_from_zero=1e-3))
-    yield lambda leaf: sum_all(relu(leaf)), x
-
-
-def _check_sigmoid(rng):
-    x = _t(_uniform(rng, (2, 3, 3, 4)))
-    yield lambda leaf: sum_all(sigmoid(leaf)), x
-
-
-def _check_sum_all(rng):
-    x = _t(_uniform(rng, (2, 3, 3, 4)))
-    yield lambda leaf: sum_all(leaf), x
-
-
-def _check_conv2d(rng):
-    x = _t(_uniform(rng, (2, 6, 6, 3)))
-    w = _t(_uniform(rng, (3, 3, 3, 4)) * 0.5)
-    b = _t(_uniform(rng, (1, 1, 1, 4)))
-    yield lambda leaf: sum_all(conv2d(leaf, w, b)), x
-    yield lambda leaf: sum_all(conv2d(x, leaf, b)), w
-    yield lambda leaf: sum_all(conv2d(x, w, leaf)), b
-
-
-def _check_maxpool2x2(rng):
-    x = _t(_distinct(rng, (2, 4, 4, 3)))
-    yield lambda leaf: sum_all(maxpool2x2(leaf)), x
+    ``f(leaf)`` is ``sum_all(op(...))`` with ``leaf`` in operand ``i``'s
+    place and the other operands as given.
+    """
+    for i, operand in enumerate(operands):
+        def f(leaf, i=i):
+            return sum_all(op(*operands[:i], leaf, *operands[i + 1:]))
+        yield f, operand
 
 
 def _check_softmax_cross_entropy(rng):
-    logits = _t(_uniform(rng, (4, 1, 1, 5)))
+    logits = _uniform(rng, (4, 1, 1, 5))
     labels = rng.integers(0, 5, size=4)
     yield lambda leaf: softmax_cross_entropy(leaf, labels), logits
 
@@ -125,20 +73,14 @@ def _check_softmax_cross_entropy(rng):
 def _check_attention_block(rng):
     # Redraw until no bottleneck pre-activation sits near the ReLU kink.
     for _ in range(64):
-        x = _t(_uniform(rng, (2, 4, 4, 8)))
-        params = fab_init(8, 4, rng)
-        pooled = fab_forward(x, params).pooled
-        if np.abs(dense(pooled, params.w_reduce, params.b_reduce).data).min() > 1e-3:
+        x = _uniform(rng, (2, 4, 4, 8))
+        p = fab_init(8, 4, rng)
+        pooled = fab_forward(x, p).pooled
+        if np.abs(dense(pooled, p.w_reduce, p.b_reduce).data).min() > 1e-3:
             break
-
-    def composite(leaf):
-        return sum_all(fab_forward(leaf, params).out)
-
-    yield composite, x
-    for name in ("w_reduce", "b_reduce", "w_expand", "b_expand"):
-        def wrt_param(leaf, _name=name):
-            return sum_all(fab_forward(x, replace(params, **{_name: leaf})).out)
-        yield wrt_param, getattr(params, name)
+    yield from _legs(
+        lambda *legs: fab_forward(legs[0], FabParams(*legs[1:], p.ratio)).out,
+        x, p.w_reduce, p.b_reduce, p.w_expand, p.b_expand)
 
 
 def _model_for_check(seed: int):
@@ -188,7 +130,7 @@ def _check_model_loss(rng):
     model = _model_for_check(seed)
     # Redraw until no ReLU or max-pool decision sits near its kink.
     for _ in range(64):
-        x = _t(rng.uniform(0.0, 1.0, size=(2, 6, 6, 3)))
+        x = Tensor(rng.uniform(0.0, 1.0, size=(2, 6, 6, 3)))
         if _kink_margin(model, x) >= 1e-3:
             break
     labels = np.array([0, 1])
@@ -208,17 +150,26 @@ def _check_model_loss(rng):
         yield wrt_param, model.params[name]
 
 
+_SHAPE = (2, 3, 3, 4)
+
+# (name, builder): builder(rng) yields the check's (f, x) legs. Operands
+# are drawn left to right, so each row consumes its rng in a fixed order.
 CHECKS = (
-    ("ew_add", _check_ew_add),
-    ("ew_mul", _check_ew_mul),
-    ("ew_mul_gate", _check_ew_mul_gate),
-    ("mean_spatial", _check_mean_spatial),
-    ("dense", _check_dense),
-    ("relu", _check_relu),
-    ("sigmoid", _check_sigmoid),
-    ("sum_all", _check_sum_all),
-    ("conv2d", _check_conv2d),
-    ("maxpool2x2", _check_maxpool2x2),
+    ("ew_add", lambda rng: _legs(ew_add, _uniform(rng, _SHAPE), _uniform(rng, _SHAPE))),
+    ("ew_mul", lambda rng: _legs(ew_mul, _uniform(rng, _SHAPE), _uniform(rng, _SHAPE))),
+    ("ew_mul_gate", lambda rng: _legs(
+        ew_mul, _uniform(rng, _SHAPE), _uniform(rng, (2, 1, 1, 4)))),
+    ("mean_spatial", lambda rng: _legs(mean_spatial, _uniform(rng, (2, 4, 4, 3)))),
+    ("dense", lambda rng: _legs(
+        dense, _uniform(rng, (3, 1, 1, 5)), _uniform(rng, (1, 1, 4, 5)),
+        _uniform(rng, (1, 1, 1, 4)))),
+    ("relu", lambda rng: _legs(relu, _uniform(rng, _SHAPE, away_from_zero=1e-3))),
+    ("sigmoid", lambda rng: _legs(sigmoid, _uniform(rng, _SHAPE))),
+    ("sum_all", lambda rng: _legs(lambda x: x, _uniform(rng, _SHAPE))),
+    ("conv2d", lambda rng: _legs(
+        conv2d, _uniform(rng, (2, 6, 6, 3)), _uniform(rng, (3, 3, 3, 4), scale=0.5),
+        _uniform(rng, (1, 1, 1, 4)))),
+    ("maxpool2x2", lambda rng: _legs(maxpool2x2, _distinct(rng, (2, 4, 4, 3)))),
     ("softmax_cross_entropy", _check_softmax_cross_entropy),
     ("attention_block", _check_attention_block),
     ("model_loss", _check_model_loss),

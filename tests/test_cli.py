@@ -345,6 +345,9 @@ BAD_INPUTS = [
     ("train", "image_size=0"),
     ("train", "image_size=65536"),   # 192 GiB of input, never allocated
     ("train", "head_hidden=0"),
+    # Over 64 PiB each, more than any process can address: never allocated.
+    ("train", "head_hidden=1000000000000000"),
+    ("train", "blocks=1000000000000000:pool"),
     ("train", "fab_ratio=0"),
     ("train", "seed=-1"),
     ("train", ["--seed", "-1"]),
