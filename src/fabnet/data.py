@@ -95,7 +95,8 @@ def decode_image(path) -> np.ndarray:
     """Decode binary PPM/PGM into a (H, W, 3) uint8 RGB grid."""
     try:
         blob = Path(path).read_bytes()
-    except OSError as exc:
+    # ValueError: a path holding a NUL byte, as a manifest line may.
+    except (OSError, ValueError) as exc:
         raise ImageFormatError(f"cannot read image {path}: {exc}") from exc
     magic = blob[:2]
     if magic not in (b"P5", b"P6"):

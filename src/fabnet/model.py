@@ -12,6 +12,7 @@ learning.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import zlib
@@ -329,24 +330,25 @@ def maxpool2x2(x: Tensor) -> Tensor:
     return _emit("maxpool2x2", (x,), out, back)
 
 
-def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
-    """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
+def _chunk_images(cfg: ModelConfig) -> int:
+    """Images per chunk of an untracked forward's depth-first backbone.
 
-    A pooling block runs conv → pool → ReLU, the same function as VGG's
-    conv → ReLU → pool (``relu(maxpool(y)) == maxpool(relu(y))`` bit for
-    bit) at a quarter of the ReLU work. Gradients differ at most in the
-    sign of exact zeros, which the following sums erase.
-
-    ``observe(name, value)``, if given, sees in order each block's conv
-    output before pool and ReLU as ``"block<i>.conv"``, the attention
-    block's ``FabActivations`` as ``"fab"`` and the head's hidden
-    pre-activation as ``"head.hidden"``. Off, it costs one test per block.
+    The least common multiple, over the convs, of the images per column
+    block that conv2d takes at the conv's input extent. Every chunk then
+    starts on a block boundary of every conv, so its GEMMs are GEMMs the
+    whole-batch forward runs too, and its bytes are theirs.
     """
-    n, h, w, c = x.shape
-    if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
-        raise ShapeError(f"input {tuple(x.shape)} does not match configured "
-                         f"size {m.config.input_size} x {m.config.in_channels}")
-    t = x
+    h, w = cfg.input_size
+    chunk = 1
+    for blk in cfg.blocks:
+        chunk = math.lcm(chunk, max(1, _CONV_ROWS // (h * w)))
+        if blk.pool:
+            h, w = h // 2, w // 2
+    return chunk
+
+
+def _backbone(m: Model, t: Tensor, observe=None) -> Tensor:
+    """Every conv block in order: conv, then 2x2 pool if the block pools, ReLU."""
     for i, blk in enumerate(m.config.blocks):
         t = conv2d(t, m.params[f"block{i}.conv.weight"],
                    m.params[f"block{i}.conv.bias"])
@@ -355,6 +357,46 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
         if blk.pool:
             t = maxpool2x2(t)
         t = relu(t)
+    return t
+
+
+def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
+    """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
+
+    A pooling block runs conv → pool → ReLU, the same function as VGG's
+    conv → ReLU → pool (``relu(maxpool(y)) == maxpool(relu(y))`` bit for
+    bit) at a quarter of the ReLU work. Gradients differ at most in the
+    sign of exact zeros, which the following sums erase.
+
+    An untracked forward (``x`` and every parameter untracked, no
+    observer) of more than one chunk of images (``_chunk_images``) runs
+    the backbone depth-first, one chunk at a time (Alwani et al.,
+    "Fused-Layer CNN Accelerators", MICRO 2016), so no conv output exists
+    for the whole batch; the attention block and the head, whose dense
+    layers are not bit-stable across row blocks, then run once over the
+    whole batch. The logits are the bytes of the whole-batch forward.
+
+    ``observe(name, value)``, if given, sees in order each block's conv
+    output before pool and ReLU as ``"block<i>.conv"``, the attention
+    block's ``FabActivations`` as ``"fab"`` and the head's hidden
+    pre-activation as ``"head.hidden"``. An observed forward runs whole
+    batch, so each value covers every image. Off, it costs one test per
+    block.
+    """
+    n, h, w, c = x.shape
+    if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
+        raise ShapeError(f"input {tuple(x.shape)} does not match configured "
+                         f"size {m.config.input_size} x {m.config.in_channels}")
+    chunk = _chunk_images(m.config)
+    if (observe is None and n > chunk
+            and not any(v.tracked for v in (x, *m.params.values()))):
+        fh, fw = feature_map_size(m.config)
+        t = Tensor(np.empty((n, fh, fw, m.config.blocks[-1].out_channels)))
+        for start in range(0, n, chunk):
+            t.data[start:start + chunk] = _backbone(
+                m, Tensor(x.data[start:start + chunk])).data
+    else:
+        t = _backbone(m, x, observe)
     if m.config.use_fab:
         acts = fab_forward(t, m.fab_params())
         if observe is not None:

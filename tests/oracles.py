@@ -2,9 +2,10 @@
 
 Everything here is deliberately written as straight-line Python loops
 over the mathematical definitions, with no shared code from the package
-beyond raw numpy arrays in and out. Two are not loops:
-``relu_then_pool_forward`` pins the order of the model's ops rather than
-the ops themselves, so it composes the package's own differentiable ops;
+beyond raw numpy arrays in and out. Three are not loops:
+``relu_then_pool_forward`` and ``whole_batch_forward`` pin the order of
+the model's ops and the batch they run on rather than the ops themselves,
+so they compose the package's own differentiable ops;
 ``conv2d_im2col_reference`` pins the bytes of one whole-batch im2col
 matmul, so it spells out that arithmetic in numpy.
 """
@@ -185,5 +186,26 @@ def relu_then_pool_forward(m, x):
         t = fab_forward(t, m.fab_params()).out
     t = mean_spatial(t)
     t = relu(dense(t, m.params["head.hidden.weight"],
+                   m.params["head.hidden.bias"]))
+    return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])
+
+
+def whole_batch_forward(m, x):
+    """``model_forward`` with every op over the whole batch at once.
+
+    Each block runs conv -> 2x2 max pool (where it pools) -> ReLU, the
+    model's order, on all N images; no chunk of images is ever split
+    off. Records onto a tape like ``model_forward``.
+    """
+    t = x
+    for i, blk in enumerate(m.config.blocks):
+        t = conv2d(t, m.params[f"block{i}.conv.weight"],
+                   m.params[f"block{i}.conv.bias"])
+        if blk.pool:
+            t = maxpool2x2(t)
+        t = relu(t)
+    if m.config.use_fab:
+        t = fab_forward(t, m.fab_params()).out
+    t = relu(dense(mean_spatial(t), m.params["head.hidden.weight"],
                    m.params["head.hidden.bias"]))
     return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])

@@ -1,5 +1,6 @@
 """Backbone construction, conv/pool kernels, checkpoints, freezing."""
 
+import contextlib
 import gc
 import itertools
 import re
@@ -24,7 +25,7 @@ from fabnet.training import (AdamState, SplitData, TrainConfig, adam_step,
                              softmax_cross_entropy, train)
 from checkpoint_faults import CHECKPOINT_FAULTS
 from oracles import (conv2d_im2col_reference, conv2d_oracle, maxpool2x2_oracle,
-                     relu_then_pool_forward)
+                     relu_then_pool_forward, whole_batch_forward)
 
 TINY = ModelConfig(input_size=(8, 8),
                    blocks=(ConvBlockSpec(4), ConvBlockSpec(8)),
@@ -230,6 +231,90 @@ class TestObserver:
         model_forward(m, Tensor(np.zeros((2, 8, 8, 3))),
                       lambda name, value: seen.append(name))
         assert seen == ["block0.conv", "block1.conv", "head.hidden"]
+
+
+# (config, images per chunk): the default config and criterion 6's, whose
+# chunk is their last conv's column block; two extents that are not powers
+# of two; and three blocks at 20x14, whose convs take 3, 14 and 14 images
+# per column block, so the chunk is their least common multiple, 42, and
+# not the largest block.
+CHUNK_CONFIGS = [
+    (ModelConfig(), 16),
+    (ModelConfig(input_size=(16, 16),
+                 blocks=(ConvBlockSpec(8), ConvBlockSpec(16)),
+                 fab_ratio=4, head_hidden=16), 16),
+    (ModelConfig(input_size=(24, 24),
+                 blocks=(ConvBlockSpec(4), ConvBlockSpec(8), ConvBlockSpec(8)),
+                 fab_ratio=4, head_hidden=8), 28),
+    (ModelConfig(input_size=(20, 14),
+                 blocks=(ConvBlockSpec(4), ConvBlockSpec(8, pool=False),
+                         ConvBlockSpec(8, pool=False)),
+                 fab_ratio=4, head_hidden=8), 42),
+]
+
+
+class TestChunkedForward:
+    """An untracked batch runs the backbone one chunk of images at a time."""
+
+    @pytest.mark.parametrize("cfg, chunk", CHUNK_CONFIGS,
+                             ids=["default", "criterion6", "24x24", "20x14"])
+    def test_logits_are_the_whole_batch_bytes(self, cfg, chunk):
+        assert fabnet.model._chunk_images(cfg) == chunk
+        m = build_model(cfg, seed=40)
+        h, w = cfg.input_size
+        x = np.random.default_rng(41).uniform(0, 1, (100, h, w, 3))
+        for n in (1, chunk - 1, chunk, chunk + 1, 50, 100):
+            got = model_forward(m, Tensor(x[:n])).data
+            want = whole_batch_forward(m, Tensor(x[:n])).data
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_untracked_convs_run_chunk_by_chunk(self, monkeypatch):
+        batches = []
+        real_conv2d = fabnet.model.conv2d
+
+        def spy(x, kernels, bias):
+            batches.append(x.shape.batch)
+            return real_conv2d(x, kernels, bias)
+
+        monkeypatch.setattr(fabnet.model, "conv2d", spy)
+        m = build_model(ModelConfig(), seed=42)
+        model_forward(m, Tensor(np.zeros((50, 32, 32, 3))))
+        assert batches == [16] * 9 + [2] * 3
+        batches.clear()
+        model_forward(m, Tensor(np.zeros((50, 32, 32, 3))),
+                      lambda name, value: None)
+        assert batches == [50] * 3   # observed: whole batch
+
+    @pytest.mark.parametrize("watch", ["parameters", "input"])
+    def test_tracked_forward_runs_whole_batch(self, watch):
+        # A tracked forward keeps one conv2d node per block, so backward
+        # sees the whole batch at once, and its gradients are the oracle's.
+        m = build_model(ModelConfig(), seed=43)
+        rng = np.random.default_rng(44)
+        x = rng.uniform(0, 1, (40, 32, 32, 3))
+        labels = rng.integers(0, 5, 40)
+        runs = []
+        for forward in (model_forward, whole_batch_forward):
+            tape = Tape()
+            xt = Tensor(x)
+            with contextlib.ExitStack() as scope:
+                if watch == "input":
+                    tape.watch(xt)
+                    leaves = {"x": xt}
+                else:
+                    scope.enter_context(m.watch_trainable(tape))
+                    leaves = dict(m.params)
+                logits = forward(m, xt)
+                ops = [node.op for node in tape.nodes]
+                grads = backward(tape, softmax_cross_entropy(logits, labels))
+                runs.append((logits.data.tobytes(), ops,
+                             {name: grads[t.node_id].data.tobytes()
+                              for name, t in leaves.items()}))
+        (logits, ops, grads), (want_logits, want_ops, want_grads) = runs
+        assert ops.count("conv2d") == 3
+        assert ops == want_ops
+        assert logits == want_logits
+        assert grads == want_grads
 
 
 class TestConv2d:

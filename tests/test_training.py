@@ -10,7 +10,8 @@ import pytest
 
 from fabnet.data import SplitSpec, load_manifest, load_samples, stratified_split, synth_generate
 from fabnet.errors import ConfigError, DivergenceError, ShapeError
-from fabnet.model import ConvBlockSpec, ModelConfig, build_model
+from fabnet.model import (ConvBlockSpec, ModelConfig, build_model,
+                          model_forward)
 from fabnet.tensor import Tape, Tensor, backward, grad_check, tensor_new
 from fabnet.training import (AblationResult, AblationRow, AdamState, SplitData,
                              TrainConfig, ablation_run, adam_step, evaluate,
@@ -215,6 +216,26 @@ class TestTrainLoop:
         y = rng.integers(0, 5, 50)
         peak = _traced_peak(lambda: _forward_dataset(m, x, y))
         assert peak <= 10 * 2**20
+
+    def test_validation_sweep_peak_without_full_feature_maps(self):
+        # The untracked sweep runs the backbone 16 images at a time, so no
+        # conv output exists for all 50 images; at the whole batch, block
+        # 0's output alone is 6.25 MiB and the sweep peaked at about
+        # 7.9 MiB.
+        m = build_model(ModelConfig(), seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, (50, 32, 32, 3))
+        y = rng.integers(0, 5, 50)
+        peak = _traced_peak(lambda: _forward_dataset(m, x, y))
+        assert peak <= 5 * 2**20
+
+    def test_untracked_forward_peak_memory(self):
+        # 100 images untracked, as a benchmark set-up or an eval batch runs
+        # them: about 4.2 MiB, where the whole batch's maps took 15.8 MiB.
+        m = build_model(ModelConfig(), seed=0)
+        x = np.random.default_rng(2).uniform(0, 1, (100, 32, 32, 3))
+        peak = _traced_peak(lambda: model_forward(m, Tensor(x)))
+        assert peak <= 5 * 2**20
 
     def test_needs_an_epoch(self):
         with pytest.raises(ConfigError, match="max_epochs"):
