@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SplitSpec, decode_image, load_manifest, load_samples,
+from .data import (SplitSpec, decode_image, load_manifest, load_pixels,
                    preprocess, stratified_split, synth_generate)
 from .errors import ConfigError, FabnetError, decode_utf8
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
@@ -112,8 +112,8 @@ def cmd_train(args) -> int:
                     num_classes=len(manifest.class_names),
                     freeze_backbone=run.freeze_backbone),
         run.seed, class_names=manifest.class_names)
-    data = SplitData(*load_samples(manifest, train_idx, size),
-                     *load_samples(manifest, test_idx, size))
+    data = SplitData(*load_pixels(manifest, train_idx, size),
+                     *load_pixels(manifest, test_idx, size))
     model, curve = train(model, data, TrainConfig(
         learning_rate=run.learning_rate, batch_size=run.batch_size,
         max_epochs=run.max_epochs, seed=run.seed))
@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
             f"checkpoint classes {model.class_names} do not match "
             f"manifest classes {list(manifest.class_names)}")
     indices = np.arange(len(manifest.entries))
-    x, y = load_samples(manifest, indices, model.config.input_size)
+    x, y = load_pixels(manifest, indices, model.config.input_size)
     report = evaluate(model, x, y)
     out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)

@@ -162,10 +162,26 @@ def bilinear_resize(img: np.ndarray, target) -> np.ndarray:
     return top + fy[:, None, None] * (bot - top)
 
 
+# A decoded byte ``u`` is the model input ``u / PIXEL_SCALE``.
+PIXEL_SCALE = 255.0
+
+
+def model_input(x: np.ndarray) -> np.ndarray:
+    """Scale decoder bytes into [0, 1]; a float array is model input already.
+
+    The dtype decides: ``uint8`` means decoder bytes, float means scaled
+    pixels, which pass through unchanged. At equal sizes this is exactly
+    what ``preprocess`` computes, as ``bilinear_resize`` then only copies.
+    """
+    if x.dtype == np.uint8:
+        return np.divide(x, PIXEL_SCALE, dtype=np.float64)
+    return x
+
+
 def preprocess(raw: np.ndarray, target) -> Tensor:
     """Bilinear-resize a decoded grid to ``target`` and scale into [0, 1]."""
     resized = bilinear_resize(raw.astype(np.float64), target)
-    pixels = resized / 255.0
+    pixels = resized / PIXEL_SCALE
     h, w = target
     return tensor_new((1, h, w, 3), pixels.reshape(-1))
 
@@ -206,19 +222,35 @@ def batch_iterator(indices, batch_size: int, shuffle_seed: int, epoch: int):
         yield shuffled[start:start + batch_size]
 
 
+def load_pixels(manifest: DatasetManifest, indices, image_size):
+    """Decode entries into one stacked (n, H, W, 3) array, plus int64 ids.
+
+    Returns (x, y). When every image already has ``image_size``, x holds
+    the decoder's ``uint8`` bytes, one byte per value, for ``model_input``
+    to scale a batch at a time. Otherwise every image goes through
+    ``preprocess`` and x is float64 model input in [0, 1].
+    """
+    h, w = image_size
+    xs = np.empty((len(indices), h, w, 3), dtype=np.uint8)
+    ys = np.empty(len(indices), dtype=np.int64)
+    for row, idx in enumerate(indices):
+        raw = decode_image(manifest.resolve(idx))
+        if xs.dtype == np.uint8 and raw.shape[:2] != (h, w):
+            # Every row so far is at size, where preprocess is model_input.
+            xs = model_input(xs)
+        xs[row] = (raw if xs.dtype == np.uint8
+                   else preprocess(raw, image_size).data[0])
+        ys[row] = manifest.label_id(idx)
+    return xs, ys
+
+
 def load_samples(manifest: DatasetManifest, indices, image_size):
     """Decode and preprocess entries into stacked arrays.
 
     Returns (x, y): x is (n, H, W, 3) float64 in [0, 1], y is int64 ids.
     """
-    h, w = image_size
-    xs = np.empty((len(indices), h, w, 3))
-    ys = np.empty(len(indices), dtype=np.int64)
-    for row, idx in enumerate(indices):
-        raw = decode_image(manifest.resolve(idx))
-        xs[row] = preprocess(raw, image_size).data[0]
-        ys[row] = manifest.label_id(idx)
-    return xs, ys
+    x, y = load_pixels(manifest, indices, image_size)
+    return model_input(x), y
 
 
 # Synthetic pattern constants. Hue separates classes, blob count and

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import batch_iterator
+from .data import batch_iterator, model_input
 from .errors import ConfigError, DivergenceError, ShapeError
 from .model import Model, ModelConfig, build_model, model_forward, trainable_parameters
 from .tensor import Tape, Tensor, _emit, backward as tape_backward
@@ -129,7 +129,11 @@ class EpochCurve:
 
 @dataclass(frozen=True)
 class SplitData:
-    """Preprocessed tensors of one train/test split."""
+    """The images and class ids of one train/test split.
+
+    An image array of ``uint8`` holds decoder bytes, which ``train``
+    scales one batch at a time; a float array is model input as it is.
+    """
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -143,7 +147,7 @@ def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray,
     total_loss = 0.0
     preds = np.empty(len(y), dtype=np.int64)
     for start in range(0, len(y), batch_size):
-        xb = x[start:start + batch_size]
+        xb = model_input(x[start:start + batch_size])
         yb = y[start:start + batch_size]
         logits = model_forward(model, Tensor(xb))
         total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
@@ -213,8 +217,9 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
                     batch_iterator(np.arange(n_train), cfg.batch_size,
                                    cfg.seed, epoch)):
                 yb = data.train_y[batch]
-                loss_value, hits = _train_step(model, data.train_x[batch], yb,
-                                               state, cfg, epoch, batch_no)
+                loss_value, hits = _train_step(
+                    model, model_input(data.train_x[batch]), yb, state, cfg,
+                    epoch, batch_no)
                 loss_sum += loss_value * len(yb)
                 correct += hits
             val_loss, val_preds = _forward_dataset(model, data.test_x,
@@ -303,7 +308,11 @@ def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> MetricsReport:
-    """Score a sample set; argmax ties resolve to the lowest class index."""
+    """Score a sample set; argmax ties resolve to the lowest class index.
+
+    ``x`` is ``uint8`` decoder bytes or float model input, as in
+    ``SplitData``.
+    """
     if len(y) < 1:
         raise ValueError("evaluate needs at least one sample")
     _, preds = _forward_dataset(model, x, np.asarray(y, dtype=np.int64))

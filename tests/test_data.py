@@ -5,8 +5,8 @@ import pytest
 
 from fabnet.data import (DatasetManifest, SplitSpec, batch_iterator,
                          bilinear_resize, decode_image, load_manifest,
-                         load_samples, preprocess, stratified_split,
-                         synth_generate, write_ppm)
+                         load_pixels, load_samples, model_input, preprocess,
+                         stratified_split, synth_generate, write_ppm)
 from fabnet.errors import ImageFormatError, ManifestError, SplitError
 
 TABLE_COUNTS = {"Mild": 1624, "Moderate": 999, "No DR": 1805,
@@ -234,3 +234,61 @@ class TestDeterminism:
         a = preprocess(decode_image(path), (5, 5)).data
         b = preprocess(decode_image(path), (5, 5)).data
         assert np.array_equal(a, b)
+
+
+# Per-image sizes of each manifest kind; every kind loads at 6x6. "mixed"
+# starts at size, so its loader switches to preprocess part way through.
+LOAD_KINDS = {
+    "same": [(6, 6)] * 4,
+    "resized": [(9, 7)] * 4,
+    "mixed": [(6, 6), (6, 6), (9, 7), (6, 6), (4, 5)],
+    "pgm": [(6, 6)] * 4,
+}
+
+
+def kind_manifest(tmp_path, kind):
+    rng = np.random.default_rng(11)
+    rows = []
+    for i, (h, w) in enumerate(LOAD_KINDS[kind]):
+        if kind == "pgm":
+            name = f"img{i}.pgm"
+            (tmp_path / name).write_bytes(
+                f"P5\n{w} {h}\n255\n".encode("ascii")
+                + rng.integers(0, 256, h * w).astype(np.uint8).tobytes())
+        else:
+            name = f"img{i}.ppm"
+            write_ppm(tmp_path / name,
+                      rng.integers(0, 256, (h, w, 3)).astype(np.uint8))
+        rows.append((name, f"c{i % 2}"))
+    return load_manifest(write_manifest(tmp_path / "m.csv", rows))
+
+
+class TestLoadPixels:
+    @pytest.mark.parametrize("kind", sorted(LOAD_KINDS))
+    def test_load_samples_is_stacked_preprocess(self, tmp_path, kind):
+        m = kind_manifest(tmp_path, kind)
+        indices = np.arange(len(m.entries))[::-1]
+        x, y = load_samples(m, indices, (6, 6))
+        want = np.stack([preprocess(decode_image(m.resolve(i)), (6, 6)).data[0]
+                         for i in indices])
+        assert x.dtype == np.float64
+        assert x.tobytes() == want.tobytes()
+        assert list(y) == [m.label_id(i) for i in indices]
+
+    @pytest.mark.parametrize("kind", sorted(LOAD_KINDS))
+    def test_decoder_bytes_exactly_when_at_size(self, tmp_path, kind):
+        m = kind_manifest(tmp_path, kind)
+        indices = np.arange(len(m.entries))
+        x, _ = load_pixels(m, indices, (6, 6))
+        at_size = all(s == (6, 6) for s in LOAD_KINDS[kind])
+        assert x.dtype == (np.uint8 if at_size else np.float64)
+        if at_size:
+            raw = np.stack([decode_image(m.resolve(i)) for i in indices])
+            assert x.tobytes() == raw.tobytes()
+
+    def test_model_input_scales_bytes_and_passes_floats(self):
+        u = np.arange(256, dtype=np.uint8).reshape(1, 4, 64, 1)
+        scaled = model_input(u)
+        assert scaled.dtype == np.float64
+        assert scaled.tobytes() == (u.astype(np.float64) / 255.0).tobytes()
+        assert model_input(scaled) is scaled

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fabnet.data import SplitSpec, load_manifest, load_samples, stratified_split, synth_generate
+from fabnet.model import save_checkpoint
 from fabnet.errors import ConfigError, DivergenceError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model,
                           model_forward)
@@ -385,3 +386,42 @@ class TestAblation:
     def test_needs_a_seed(self, small_split):
         with pytest.raises(ValueError):
             ablation_run(small_split, TINY, TrainConfig(max_epochs=1), seeds=[])
+
+
+def byte_twins(n_train=12, n_test=70):
+    """A split of decoder bytes and its float64 model-input twin.
+
+    70 held-out images span two of the untracked sweep's 64-image slices.
+    """
+    rng = np.random.default_rng(4)
+    raw = SplitData(rng.integers(0, 256, (n_train, 8, 8, 3)).astype(np.uint8),
+                    rng.integers(0, 3, n_train),
+                    rng.integers(0, 256, (n_test, 8, 8, 3)).astype(np.uint8),
+                    rng.integers(0, 3, n_test))
+    floats = SplitData(raw.train_x.astype(np.float64) / 255.0, raw.train_y,
+                       raw.test_x.astype(np.float64) / 255.0, raw.test_y)
+    return raw, floats
+
+
+class TestDecoderBytes:
+    """A uint8 split trains and scores exactly as its float64 twin."""
+
+    def test_train_curves_and_parameters_identical(self, tmp_path):
+        outputs = []
+        for i, data in enumerate(byte_twins()):
+            m = build_model(TINY, seed=2)
+            m, curve = train(m, data, TrainConfig(
+                learning_rate=1e-2, batch_size=5, max_epochs=3, seed=2))
+            save_checkpoint(m, tmp_path / f"{i}.fabn")
+            outputs.append((curve.to_csv(),
+                            (tmp_path / f"{i}.fabn").read_bytes(),
+                            curve.val_preds.tobytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_evaluate_reports_identical(self):
+        m = build_model(TINY, seed=5)
+        raw, floats = byte_twins()
+        a = evaluate(m, raw.test_x, raw.test_y)
+        b = evaluate(m, floats.test_x, floats.test_y)
+        assert a.to_csv() == b.to_csv()
+        assert a.confusion_csv() == b.confusion_csv()
