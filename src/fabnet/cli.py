@@ -16,7 +16,6 @@ from .data import (SplitSpec, decode_image, load_manifest, load_pixels,
 from .errors import ConfigError, FabnetError, decode_utf8
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
                     parse_blocks, parse_bool, read_settings, save_checkpoint)
-from .tensor import Tensor
 from .training import (SplitData, TrainConfig, evaluate,
                        metrics_from_predictions, softmax_probabilities, train)
 from .verify import run_suite
@@ -158,7 +157,7 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     raw = decode_image(args.image)
     pixels = preprocess(raw, model.config.input_size)
-    logits = model_forward(model, Tensor(pixels.data))
+    logits = model_forward(model, pixels)
     probs = softmax_probabilities(logits)[0]
     winner = int(np.argmax(probs))
     print(f"prediction: {model.class_names[winner]}")

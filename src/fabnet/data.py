@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ImageFormatError, ManifestError, SplitError, decode_utf8
-from .tensor import Tensor, tensor_new
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,18 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 
 
 def bilinear_resize(img: np.ndarray, target) -> np.ndarray:
-    """Resize (H, W, C) float64 with half-pixel center alignment.
+    """Resize (H, W, C) pixels to float64 with half-pixel center alignment.
 
     Interpolation uses the ``a + t*(b - a)`` form so constant images are
-    preserved bit-exactly.
+    preserved bit-exactly. Each source row set is gathered once, then
+    widened to float64 and viewed as (rows, W*C), so every lerp runs over
+    contiguous rows and a decoder's uint8 grid is never widened whole.
+    The result is always a new array.
     """
-    src_h, src_w = img.shape[:2]
+    src_h, src_w, c = img.shape
     dst_h, dst_w = target
     if (src_h, src_w) == (dst_h, dst_w):
-        return img.copy()
+        return img.astype(np.float64)
 
     def axis_coords(src, dst):
         scale = src / dst
@@ -157,9 +160,22 @@ def bilinear_resize(img: np.ndarray, target) -> np.ndarray:
 
     ylo, yhi, fy = axis_coords(src_h, dst_h)
     xlo, xhi, fx = axis_coords(src_w, dst_w)
-    top = img[ylo][:, xlo] + fx[None, :, None] * (img[ylo][:, xhi] - img[ylo][:, xlo])
-    bot = img[yhi][:, xlo] + fx[None, :, None] * (img[yhi][:, xhi] - img[yhi][:, xlo])
-    return top + fy[:, None, None] * (bot - top)
+    # Column indices and weights repeated per channel, over the (W*C) rows.
+    channel = np.arange(c)
+    xlo = (xlo[:, None] * c + channel).reshape(-1)
+    xhi = (xhi[:, None] * c + channel).reshape(-1)
+    fx = np.repeat(fx, c)
+
+    def lerp_columns(rows):
+        rows = rows.reshape(dst_h, src_w * c).astype(np.float64, copy=False)
+        # np.take, not rows[:, xlo]: its result is C-ordered, so every
+        # lerp and the final reshape stay on contiguous rows.
+        left = np.take(rows, xlo, axis=1)
+        return left + fx * (np.take(rows, xhi, axis=1) - left)
+
+    top = lerp_columns(img[ylo])
+    bot = lerp_columns(img[yhi])
+    return (top + fy[:, None] * (bot - top)).reshape(dst_h, dst_w, c)
 
 
 # A decoded byte ``u`` is the model input ``u / PIXEL_SCALE``.
@@ -171,7 +187,7 @@ def model_input(x: np.ndarray) -> np.ndarray:
 
     The dtype decides: ``uint8`` means decoder bytes, float means scaled
     pixels, which pass through unchanged. At equal sizes this is exactly
-    what ``preprocess`` computes, as ``bilinear_resize`` then only copies.
+    what ``preprocess`` computes, as ``bilinear_resize`` then only widens.
     """
     if x.dtype == np.uint8:
         return np.divide(x, PIXEL_SCALE, dtype=np.float64)
@@ -180,10 +196,12 @@ def model_input(x: np.ndarray) -> np.ndarray:
 
 def preprocess(raw: np.ndarray, target) -> Tensor:
     """Bilinear-resize a decoded grid to ``target`` and scale into [0, 1]."""
-    resized = bilinear_resize(raw.astype(np.float64), target)
-    pixels = resized / PIXEL_SCALE
+    pixels = bilinear_resize(raw, target)
+    pixels /= PIXEL_SCALE
+    if not np.isfinite(pixels).all():
+        raise ValueError("tensor values must be finite")
     h, w = target
-    return tensor_new((1, h, w, 3), pixels.reshape(-1))
+    return Tensor(pixels.reshape(1, h, w, 3))
 
 
 def stratified_split(manifest: DatasetManifest, spec: SplitSpec):

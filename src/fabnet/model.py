@@ -12,19 +12,21 @@ learning.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .attention import (FabParams, fab_forward, fab_init, glorot_uniform,
                         he_uniform)
 from .errors import ConfigError, FormatError, ShapeError, decode_utf8
-from .tensor import Shape4, Tape, Tensor, dense, mean_spatial, relu, _emit
+from .tensor import Tape, Tensor, dense, mean_spatial, relu, _emit
 
 CHECKPOINT_MAGIC = b"FABN"
 CHECKPOINT_VERSION = 1
@@ -225,9 +227,15 @@ _CONV_ROWS = 1024
 
 
 def _windows(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N, H, W, KH, KW, Cin) view of every output pixel's input window."""
-    return (sliding_window_view(padded, (kh, kw), axis=(1, 2))
-            .transpose(0, 1, 2, 4, 5, 3))
+    """(N, H, W, KH, KW, Cin) read-only view of each output pixel's window.
+
+    One ``as_strided`` call builds the view that ``sliding_window_view``
+    plus a transpose would, without their argument checks on every call.
+    """
+    n, hp, wp, cin = padded.shape
+    sn, sh, sw, sc = padded.strides
+    return as_strided(padded, (n, hp - kh + 1, wp - kw + 1, kh, kw, cin),
+                      (sn, sh, sw, sh, sw, sc), writeable=False)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -547,47 +555,65 @@ def save_checkpoint(m: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint written by ``save_checkpoint``; FormatError if faulty.
 
-    def claim(n, what):
-        """Offset of the next ``n`` bytes of ``blob``, which must exist."""
+    Each parameter's values are read from the file straight into their
+    own array, so every byte is copied once and no copy of the whole file
+    is held. Each read is checked against the file's size before anything
+    is read or allocated, so a declared length cannot ask for more than
+    the file holds. A file whose size is unknown up front (a pipe) is
+    read whole first.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_checkpoint(fh, info.st_size)
+        blob = fh.read()
+    return _read_checkpoint(io.BytesIO(blob), len(blob))
+
+
+def _read_checkpoint(fh, size: int) -> Model:
+    """The model in the ``size`` bytes that ``fh`` reads from its start."""
+    offset = 0
+
+    def read(n, what):
+        """The next ``n`` bytes of ``fh``, which must exist."""
         nonlocal offset
-        if offset + n > len(blob):
+        chunk = fh.read(n) if offset + n <= size else b""
+        if len(chunk) != n:
             raise FormatError(f"truncated checkpoint while reading {what}")
         offset += n
-        return offset - n
+        return chunk
 
-    def take(n, what):
-        start = claim(n, what)
-        return blob[start:start + n]
-
-    offset = 0
-    if take(4, "magic") != CHECKPOINT_MAGIC:
+    if read(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    (version,) = struct.unpack_from("<I", blob, claim(4, "version"))
+    (version,) = struct.unpack("<I", read(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (text_len,) = struct.unpack_from("<I", blob, claim(4, "config length"))
+    (text_len,) = struct.unpack("<I", read(4, "config length"))
     cfg, class_names, table = _config_from_text(
-        decode_utf8(take(text_len, "config"), "checkpoint config", FormatError))
+        decode_utf8(read(text_len, "config"), "checkpoint config", FormatError))
 
     # Every record must match the table by name and shape and hold only
     # finite values; the model is then assembled in table order, so
     # nothing is drawn and a load -> save round trip is byte-identical.
-    # Values are copied once, straight out of ``blob``.
     loaded: dict = {}
-    while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, claim(4, "name length"))
-        name = decode_utf8(take(name_len, "name"), "parameter name", FormatError)
+    while offset < size:
+        (name_len,) = struct.unpack("<I", read(4, "name length"))
+        name = decode_utf8(read(name_len, "name"), "parameter name", FormatError)
         if name in loaded:
             raise FormatError(f"duplicate parameter record {name!r}")
-        shape = Shape4(*struct.unpack_from("<4Q", blob, claim(32, "shape")))
+        shape = struct.unpack("<4Q", read(32, "shape"))
         if name in table and shape != table[name][0]:
             raise FormatError(f"shape table mismatch for {name}")
-        count = shape.element_count
-        start = claim(count * 8, f"values of {name}")
-        data = np.frombuffer(blob, "<f8", count, start).reshape(shape).copy()
+        count = math.prod(shape)
+        # A record the table does not name is read flat: its shape may
+        # multiply to 0 from extents no array can have.
+        data = (np.empty(shape if name in table else count, "<f8")
+                if offset + count * 8 <= size else None)
+        if data is None or fh.readinto(data) != count * 8:
+            raise FormatError(f"truncated checkpoint while reading values of {name}")
+        offset += count * 8
         if not np.isfinite(data).all():
             raise FormatError(f"non-finite value in {name}")
         loaded[name] = data

@@ -257,13 +257,15 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function in the sign-branched form, overflow-free."""
+    """Logistic function in the sign-branched form, overflow-free.
+
+    ``e = exp(-|d|)`` is ``exp(-d)`` where ``d >= 0`` and ``exp(d)``
+    elsewhere, so ``1/(1+e)`` and ``e/(1+e)`` are the two branches' bytes.
+    """
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    s = 1.0 + e
+    out = np.where(d >= 0.0, 1.0 / s, e / s)
     return _emit("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 

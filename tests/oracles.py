@@ -107,6 +107,36 @@ def maxpool2x2_oracle(x: np.ndarray, g: np.ndarray):
     return out, grad
 
 
+def _half_pixel_source(o: int, src: int, dst: int):
+    """(lo, hi, t) of output index ``o``'s half-pixel source coordinate."""
+    centre = (o + 0.5) * (src / dst) - 0.5
+    centre = min(max(centre, 0.0), src - 1.0)
+    lo = math.floor(centre)
+    return lo, min(lo + 1, src - 1), centre - lo
+
+
+def bilinear_resize_oracle(img: np.ndarray, target) -> np.ndarray:
+    """Half-pixel bilinear resize, one output value at a time.
+
+    Each value lerps its top and bottom source rows along x, then the two
+    along y, all in the ``a + t*(b - a)`` form.
+    """
+    src_h, src_w, c = img.shape
+    dst_h, dst_w = target
+    out = np.zeros((dst_h, dst_w, c))
+    for oy in range(dst_h):
+        ylo, yhi, ty = _half_pixel_source(oy, src_h, dst_h)
+        for ox in range(dst_w):
+            xlo, xhi, tx = _half_pixel_source(ox, src_w, dst_w)
+            for ch in range(c):
+                a, b = img[ylo, xlo, ch], img[ylo, xhi, ch]
+                top = a + tx * (b - a)
+                a, b = img[yhi, xlo, ch], img[yhi, xhi, ch]
+                bot = a + tx * (b - a)
+                out[oy, ox, ch] = top + ty * (bot - top)
+    return out
+
+
 def _sigmoid_scalar(v: float) -> float:
     if v >= 0.0:
         return 1.0 / (1.0 + math.exp(-v))

@@ -8,6 +8,7 @@ from fabnet.data import (DatasetManifest, SplitSpec, batch_iterator,
                          load_pixels, load_samples, model_input, preprocess,
                          stratified_split, synth_generate, write_ppm)
 from fabnet.errors import ImageFormatError, ManifestError, SplitError
+from oracles import bilinear_resize_oracle
 
 TABLE_COUNTS = {"Mild": 1624, "Moderate": 999, "No DR": 1805,
                 "Proliferate": 772, "Severe": 834}
@@ -123,6 +124,28 @@ class TestPreprocess:
         raw[0, 1] = 30
         out = bilinear_resize(raw.astype(np.float64), (1, 4))
         assert list(out[0, :, 0]) == [0.0, 7.5, 22.5, 30.0]
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("source, target", [
+        ((64, 64), (32, 32)), ((50, 70), (32, 32)), ((17, 9), (32, 24)),
+        ((5, 7), (1, 1)), ((2, 3), (7, 5))])
+    def test_resize_bytes_match_loop_oracle(self, source, target, channels):
+        rng = np.random.default_rng(source[0] * 100 + source[1] + channels)
+        img = rng.uniform(0.0, 255.0, size=source + (channels,))
+        out = bilinear_resize(img, target)
+        assert out.shape == target + (channels,)
+        assert out.tobytes() == bilinear_resize_oracle(img, target).tobytes()
+
+    @pytest.mark.parametrize("source, target", [
+        ((64, 64), (32, 32)), ((17, 9), (32, 24)), ((6, 6), (6, 6))])
+    def test_preprocess_bytes_match_loop_oracle(self, source, target):
+        # The decoder's uint8 grid: resized as float64, then divided by 255.
+        raw = np.random.default_rng(7).integers(0, 256, size=source + (3,),
+                                                dtype=np.uint8)
+        want = bilinear_resize_oracle(raw.astype(np.float64), target) / 255.0
+        out = preprocess(raw, target)
+        assert out.data.shape == (1,) + target + (3,)
+        assert out.data.tobytes() == want.tobytes()
 
 
 class TestStratifiedSplit:

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import itertools
+import os
 import re
 import struct
 from dataclasses import replace
@@ -23,7 +24,7 @@ from fabnet.tensor import (Tape, Tensor, _Node, backward, ew_mul, grad_check,
                            sum_all, tensor_new)
 from fabnet.training import (AdamState, SplitData, TrainConfig, adam_step,
                              softmax_cross_entropy, train)
-from checkpoint_faults import CHECKPOINT_FAULTS
+from checkpoint_faults import CHECKPOINT_FAULTS, split_records
 from oracles import (conv2d_im2col_reference, conv2d_oracle, maxpool2x2_oracle,
                      relu_then_pool_forward, whole_batch_forward)
 
@@ -596,6 +597,42 @@ class TestCheckpoint:
     def test_class_name_the_header_cannot_hold_rejected(self, bad):
         with pytest.raises(ConfigError, match=re.escape(repr(bad))):
             build_model(TINY, seed=17, class_names=[bad, "c", "d"])
+
+    def test_first_fault_in_record_order_is_reported(self, tmp_path):
+        path = tmp_path / "model.fabn"
+        save_checkpoint(build_model(TINY, seed=16), path)
+        head, records = split_records(path.read_bytes())
+        assert records[0][4:4 + len("block0.conv.weight")] == b"block0.conv.weight"
+        records[0] = records[0][:-8] + struct.pack("<d", float("nan"))
+        path.write_bytes(head + b"".join(records + records[-1:]))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == "non-finite value in block0.conv.weight"
+
+    def test_extra_record_with_extents_no_array_can_have(self, tmp_path):
+        # Its extents multiply to 0 values, yet numpy cannot shape an array
+        # that way; the record is still only an extra one.
+        path = tmp_path / "model.fabn"
+        save_checkpoint(build_model(TINY, seed=16), path)
+        path.write_bytes(path.read_bytes() + struct.pack("<I", 5) + b"bogus"
+                         + struct.pack("<4Q", 2 ** 62, 0, 1, 1))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == "parameter table mismatch: ['bogus']"
+
+    def test_checkpoint_read_from_a_pipe(self, tmp_path):
+        m = build_model(TINY, seed=16)
+        save_checkpoint(m, tmp_path / "model.fabn")
+        blob = (tmp_path / "model.fabn").read_bytes()
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(blob)   # a pipe buffer holds a TINY checkpoint
+        try:
+            loaded = load_checkpoint(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        for name, t in m.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
 
     @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
     def test_corrupt_bytes_rejected(self, tmp_path, fault):

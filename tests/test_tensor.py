@@ -1,5 +1,7 @@
 """Tensor construction, forward ops, tape backward, and the FD oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,23 @@ class TestActivations:
         assert out[0] == 1.0
         assert out[1] == 0.0
         assert np.all(np.isfinite(out))
+
+    def test_sigmoid_bytes_match_sign_branched_formula(self):
+        magnitudes = [0.0, 5e-324, 1e-8, 1.0, 36.7, 709.0, 745.0, 1e300]
+        values = [v for m in magnitudes for v in (m, -m)]
+        want = []
+        for v in values:
+            if v >= 0.0:
+                want.append(1.0 / (1.0 + np.exp(np.float64(-v))))
+            else:
+                e = np.exp(np.float64(v))
+                want.append(e / (1.0 + e))
+        # numpy's default error state: warn on divide, overflow and invalid.
+        with warnings.catch_warnings(), np.errstate(
+                divide="warn", over="warn", under="ignore", invalid="warn"):
+            warnings.simplefilter("error")
+            out = sigmoid(tensor_new((1, 1, 1, len(values)), values)).data
+        assert out.tobytes() == np.array(want).reshape(out.shape).tobytes()
 
     def test_sigmoid_derivative_at_zero(self):
         tape = Tape()
