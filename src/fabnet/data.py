@@ -37,7 +37,6 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    test_fraction: float = 0.2
     seed: int = 0
 
 
@@ -205,13 +204,11 @@ def preprocess(raw: np.ndarray, target) -> Tensor:
 
 
 def stratified_split(manifest: DatasetManifest, spec: SplitSpec):
-    """Per-class round(fraction * n) holdout (minimum 1), seeded per class.
+    """Per-class round(0.2 * n) holdout (minimum 1), seeded per class.
 
     Returns sorted (train_indices, test_indices); together they cover
     every entry exactly once.
     """
-    if not 0.0 < spec.test_fraction < 1.0:
-        raise SplitError(f"test_fraction must be in (0, 1), got {spec.test_fraction}")
     by_class: dict = {name: [] for name in manifest.class_names}
     for i, (_, label) in enumerate(manifest.entries):
         by_class[label].append(i)
@@ -221,7 +218,7 @@ def stratified_split(manifest: DatasetManifest, spec: SplitSpec):
         members = np.array(by_class[name])
         if members.size < 2:
             raise SplitError(f"class {name!r} has {members.size} entry; needs >= 2")
-        n_test = max(1, round(spec.test_fraction * members.size))
+        n_test = max(1, round(0.2 * members.size))
         order = rng.permutation(members.size)
         test.extend(members[order[:n_test]])
     test_set = set(test)

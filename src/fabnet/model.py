@@ -118,7 +118,7 @@ class Model:
         the tape, lasts one step. A caller that ignores the return value
         keeps the parameters bound until they are next watched.
         """
-        watched = [t for name, t in self.params.items() if self.trainable[name]]
+        watched = [t for _, t in trainable_parameters(self)]
         for t in watched:
             tape.watch(t)
         scope = contextlib.ExitStack()
@@ -220,10 +220,11 @@ def build_model(cfg: ModelConfig, seed: int, class_names=None) -> Model:
     return _model_from_table(cfg, class_names, table, values)
 
 
-# Output pixels per block of conv2d's column workspace, rounded down to
-# whole images (at least one). Of 1024, 2048 and 4096, 1024 ran the default
-# 50-image sweep fastest (2-vCPU VM, one BLAS thread; 4096 was 10 % slower).
-_CONV_ROWS = 1024
+def _images_per_block(h: int, w: int) -> int:
+    # Images per conv2d column block: 1024 output pixels, rounded down to
+    # whole images (at least one). Of 1024, 2048 and 4096 pixels, 1024 ran the
+    # default 50-image sweep fastest (2-vCPU VM, one BLAS thread; 4096: +10 %).
+    return max(1, 1024 // (h * w))
 
 
 def _windows(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -271,7 +272,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     ncol = kh * kw * cin   # entries per column
     wmat = kdata.reshape(ncol, cout)
     out = np.empty((n * h * w, cout))
-    per_block = max(1, _CONV_ROWS // (h * w))
+    per_block = _images_per_block(h, w)
     windows = _windows(padded, kh, kw)
     workspace = np.empty((min(per_block, n),) + windows.shape[1:],
                          dtype=padded.dtype)
@@ -341,15 +342,15 @@ def maxpool2x2(x: Tensor) -> Tensor:
 def _chunk_images(cfg: ModelConfig) -> int:
     """Images per chunk of an untracked forward's depth-first backbone.
 
-    The least common multiple, over the convs, of the images per column
-    block that conv2d takes at the conv's input extent. Every chunk then
+    The least common multiple, over the convs, of ``_images_per_block`` at
+    the conv's input extent, as conv2d blocks its columns. Every chunk then
     starts on a block boundary of every conv, so its GEMMs are GEMMs the
     whole-batch forward runs too, and its bytes are theirs.
     """
     h, w = cfg.input_size
     chunk = 1
     for blk in cfg.blocks:
-        chunk = math.lcm(chunk, max(1, _CONV_ROWS // (h * w)))
+        chunk = math.lcm(chunk, _images_per_block(h, w))
         if blk.pool:
             h, w = h // 2, w // 2
     return chunk

@@ -52,7 +52,8 @@ class Tensor:
 
     @property
     def shape(self) -> Shape4:
-        return Shape4(*self.data.shape)
+        # tuple.__new__ skips the NamedTuple constructor's argument parsing.
+        return tuple.__new__(Shape4, self.data.shape)
 
     @property
     def values(self) -> np.ndarray:
@@ -74,7 +75,7 @@ class Tensor:
 
 
 # Test hook: op name -> scale factor applied to that op's parent gradients.
-# Lets the verification CLI demonstrate that a wrong backward rule is caught.
+# Lets tests show that the gradient check catches a wrong backward rule.
 _BACKWARD_FAULTS: dict = {}
 
 
@@ -226,15 +227,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``w`` holds a Dout x Din matrix as a (1,1,Dout,Din) tensor and ``b``
     a Dout vector as (1,1,1,Dout); the output is (N,1,1,Dout).
     """
-    n, h, ww, din = x.shape
+    n, h, ww, din = x.data.shape
     if (h, ww) != (1, 1):
-        raise ShapeError(f"dense: input spatial extent must be 1x1, got {tuple(x.shape)}")
-    if w.shape.batch != 1 or w.shape.height != 1 or w.shape.channels != din:
-        raise ShapeError(f"dense: weight {tuple(w.shape)} does not accept "
+        raise ShapeError(f"dense: input spatial extent must be 1x1, got {x.data.shape}")
+    wn, wh, dout, wc = w.data.shape
+    if (wn, wh, wc) != (1, 1, din):
+        raise ShapeError(f"dense: weight {w.data.shape} does not accept "
                          f"{din}-channel input")
-    dout = w.shape.width
-    if b.shape != (1, 1, 1, dout):
-        raise ShapeError(f"dense: bias {tuple(b.shape)} does not match "
+    if b.data.shape != (1, 1, 1, dout):
+        raise ShapeError(f"dense: bias {b.data.shape} does not match "
                          f"{dout} outputs")
     x2 = x.data.reshape(n, din)
     wm = w.data.reshape(dout, din)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -11,16 +12,19 @@ from .errors import ConfigError, DivergenceError, ShapeError
 from .model import Model, ModelConfig, build_model, model_forward, trainable_parameters
 from .tensor import Tape, Tensor, _emit, backward as tape_backward
 
+# Images per validation or eval batch; at 16, val_loss changes in its last digit.
+_SWEEP_BATCH = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 16
     max_epochs: int = 40
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
 
 
 @dataclass
@@ -69,10 +73,8 @@ def softmax_probabilities(logits: Tensor) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def adam_step(params, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
-    """One bias-corrected Adam update, in place, over named parameters.
+def adam_step(params, grads: dict, state: AdamState, lr: float) -> AdamState:
+    """One bias-corrected Adam step (Kingma & Ba, arXiv:1412.6980), in place.
 
     ``params`` is an ordered (name, tensor) sequence and ``grads`` maps
     exactly those names to same-shaped arrays.
@@ -83,6 +85,7 @@ def adam_step(params, grads: dict, state: AdamState, lr: float,
                          f"parameters are {sorted(names)}")
     state.t += 1
     t = state.t
+    beta1, beta2 = TrainConfig.beta1, TrainConfig.beta2
     for name, tensor in params:
         g = np.asarray(grads[name])
         if g.shape != tensor.data.shape:
@@ -98,7 +101,7 @@ def adam_step(params, grads: dict, state: AdamState, lr: float,
         state.m[name], state.v[name] = m, v
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + TrainConfig.epsilon)
     return state
 
 
@@ -141,14 +144,13 @@ class SplitData:
     test_y: np.ndarray
 
 
-def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray,
-                     batch_size: int = 64):
+def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
     """Untracked loss and prediction sweep, in fixed order."""
     total_loss = 0.0
     preds = np.empty(len(y), dtype=np.int64)
-    for start in range(0, len(y), batch_size):
-        xb = model_input(x[start:start + batch_size])
-        yb = y[start:start + batch_size]
+    for start in range(0, len(y), _SWEEP_BATCH):
+        xb = model_input(x[start:start + _SWEEP_BATCH])
+        yb = y[start:start + _SWEEP_BATCH]
         logits = model_forward(model, Tensor(xb))
         total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
         preds[start:start + len(yb)] = np.argmax(
@@ -161,13 +163,13 @@ def _train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
                 batch_no: int):
     """One Adam step on one batch; returns (loss, correct predictions).
 
-    The parameters are bound to this step's tape only while the step
-    runs, so its tape, logits, loss and gradients are all unreachable once
-    it returns.
+    It scales its ``SplitData`` batch ``xb`` itself, so the scaled copy dies
+    with the forward pass, and binds the parameters to its tape only while
+    it runs, so its tape, logits, loss and gradients die when it returns.
     """
     tape = Tape()
     with model.watch_trainable(tape):
-        logits = model_forward(model, Tensor(xb))
+        logits = model_forward(model, Tensor(model_input(xb)))
         loss = softmax_cross_entropy(logits, yb)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
@@ -183,8 +185,7 @@ def _train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
                 g = grad_map.get(tensor.node_id)
                 grads[name] = (g.data if g is not None
                                else np.zeros_like(tensor.data))
-            adam_step(trainable, grads, state, cfg.learning_rate,
-                      cfg.beta1, cfg.beta2, cfg.epsilon)
+            adam_step(trainable, grads, state, cfg.learning_rate)
             for name, tensor in trainable:
                 if not np.isfinite(tensor.data).all():
                     raise DivergenceError(
@@ -217,9 +218,8 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
                     batch_iterator(np.arange(n_train), cfg.batch_size,
                                    cfg.seed, epoch)):
                 yb = data.train_y[batch]
-                loss_value, hits = _train_step(
-                    model, model_input(data.train_x[batch]), yb, state, cfg,
-                    epoch, batch_no)
+                loss_value, hits = _train_step(model, data.train_x[batch], yb,
+                                               state, cfg, epoch, batch_no)
                 loss_sum += loss_value * len(yb)
                 correct += hits
             val_loss, val_preds = _forward_dataset(model, data.test_x,
@@ -353,15 +353,13 @@ def ablation_run(data: SplitData, model_cfg: ModelConfig, cfg: TrainConfig,
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    class_names = [f"class{i:02d}" for i in range(model_cfg.num_classes)]
     rows = []
     for seed in seeds:
         accs = {}
         for use_fab in (True, False):
-            m = build_model(replace(model_cfg, use_fab=use_fab), seed,
-                            class_names=class_names)
+            m = build_model(replace(model_cfg, use_fab=use_fab), seed)
             m, curve = train(m, data, replace(cfg, seed=seed))
             accs[use_fab] = metrics_from_predictions(
-                data.test_y, curve.val_preds, class_names).accuracy
+                data.test_y, curve.val_preds, m.class_names).accuracy
         rows.append(AblationRow(seed, accs[True], accs[False]))
     return AblationResult(rows=tuple(rows))

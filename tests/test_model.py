@@ -317,6 +317,23 @@ class TestChunkedForward:
         assert logits == want_logits
         assert grads == want_grads
 
+    @pytest.mark.parametrize("cfg", [cfg for cfg, _ in CHUNK_CONFIGS[:2]],
+                             ids=["default", "criterion6"])
+    def test_backbone_rows_do_not_depend_on_batch_mates(self, cfg):
+        # One image's untracked backbone output has the same bytes alone
+        # and in any batch, so a frozen backbone's feature maps can be
+        # computed once per image and reused.
+        m = build_model(cfg, seed=45)
+        h, w = cfg.input_size
+        x = np.random.default_rng(46).uniform(0, 1, (50, h, w, 3))
+        alone = [fabnet.model._backbone(m, Tensor(x[i:i + 1])).data.tobytes()
+                 for i in range(50)]
+        for n in (15, 16, 17, 50):
+            for start in range(0, 50, n):
+                batch = fabnet.model._backbone(m, Tensor(x[start:start + n]))
+                for i, row in enumerate(batch.data, start):
+                    assert row.tobytes() == alone[i], (n, i)
+
 
 class TestConv2d:
     def test_identity_kernel(self):

@@ -4,10 +4,12 @@ import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import fabnet.training
 from fabnet.data import SplitSpec, load_manifest, load_samples, stratified_split, synth_generate
 from fabnet.model import save_checkpoint
 from fabnet.errors import ConfigError, DivergenceError, ShapeError
@@ -205,6 +207,31 @@ class TestTrainLoop:
         peak = _traced_peak(lambda: _train_step(
             m, xb, yb, AdamState(), TrainConfig(), 1, 0))
         assert peak <= 10 * 2**20
+
+    def test_scaled_batch_freed_before_backward(self, monkeypatch):
+        # A step scales its decoder-byte batch itself, so the float64 copy
+        # the forward pass reads is gone when the backward sweep starts:
+        # 384 KiB at the default step, 18.4 MiB at 224x224 with batch 16.
+        inputs, alive = [], []
+        real_forward = fabnet.training.model_forward
+        real_backward = fabnet.training.tape_backward
+
+        def forward(m, x, *args):
+            inputs.append(weakref.ref(x.data))
+            return real_forward(m, x, *args)
+
+        def spy_backward(tape, loss):
+            alive.append(inputs[-1]() is not None)
+            return real_backward(tape, loss)
+
+        monkeypatch.setattr(fabnet.training, "model_forward", forward)
+        monkeypatch.setattr(fabnet.training, "tape_backward", spy_backward)
+        data = tiny_data(seed=6)
+        pixels = np.rint(data.train_x * 255).astype(np.uint8)
+        train(build_model(TINY, seed=6),
+              SplitData(pixels, data.train_y, data.test_x, data.test_y),
+              TrainConfig(batch_size=4, max_epochs=1, seed=6))
+        assert alive == [False] * 3
 
     def test_validation_sweep_peak_memory(self):
         # The untracked sweep runs 50 images in one batch; its convs build
