@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import Tensor, dense, ew_add, ew_mul, mean_spatial, relu, sigmoid
 
 
@@ -28,11 +28,6 @@ class FabParams:
     b_reduce: Tensor   # (1, 1, 1, C/ratio)
     w_expand: Tensor   # (1, 1, C, C/ratio)
     b_expand: Tensor   # (1, 1, 1, C)
-    ratio: int
-
-    @property
-    def channels(self) -> int:
-        return self.w_reduce.shape.channels
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ def fab_init(channels: int, ratio: int, rng: np.random.Generator) -> FabParams:
         b_reduce=Tensor(np.zeros((1, 1, 1, mid))),
         w_expand=Tensor(w_expand),
         b_expand=Tensor(np.zeros((1, 1, 1, channels))),
-        ratio=ratio,
     )
 
 
@@ -91,9 +85,6 @@ def fab_forward(x: Tensor, p: FabParams) -> FabActivations:
 
     out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x
     """
-    if x.shape.channels != p.channels:
-        raise ShapeError(f"input has {x.shape.channels} channels, "
-                         f"block expects {p.channels}")
     pooled = mean_spatial(x)
     reduced = relu(dense(pooled, p.w_reduce, p.b_reduce))
     gate = sigmoid(dense(reduced, p.w_expand, p.b_expand))

@@ -106,7 +106,6 @@ class Model:
             b_reduce=self.params["fab.reduce.bias"],
             w_expand=self.params["fab.expand.weight"],
             b_expand=self.params["fab.expand.bias"],
-            ratio=self.config.fab_ratio,
         )
 
     def watch_trainable(self, tape: Tape) -> contextlib.ExitStack:

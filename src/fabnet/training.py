@@ -158,18 +158,21 @@ def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
     return total_loss / len(y), preds
 
 
-def _train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
+def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
                 state: AdamState, cfg: TrainConfig, epoch: int,
-                batch_no: int):
+                batch_no: int, batch=slice(None)):
     """One Adam step on one batch; returns (loss, correct predictions).
 
-    It scales its ``SplitData`` batch ``xb`` itself, so the scaled copy dies
-    with the forward pass, and binds the parameters to its tape only while
-    it runs, so its tape, logits, loss and gradients die when it returns.
+    The batch is rows ``batch`` of ``x`` and ``y``, all rows by default.
+    The step gathers and scales it inside the forward call, so no frame
+    holds it once the forward pass returns, and binds the parameters to
+    its tape only while it runs, so its tape, logits, loss and gradients
+    die when it returns.
     """
+    yb = y[batch]
     tape = Tape()
     with model.watch_trainable(tape):
-        logits = model_forward(model, Tensor(model_input(xb)))
+        logits = model_forward(model, Tensor(model_input(x[batch])))
         loss = softmax_cross_entropy(logits, yb)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
@@ -217,10 +220,10 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
             for batch_no, batch in enumerate(
                     batch_iterator(np.arange(n_train), cfg.batch_size,
                                    cfg.seed, epoch)):
-                yb = data.train_y[batch]
-                loss_value, hits = _train_step(model, data.train_x[batch], yb,
-                                               state, cfg, epoch, batch_no)
-                loss_sum += loss_value * len(yb)
+                loss_value, hits = _train_step(model, data.train_x,
+                                               data.train_y, state, cfg,
+                                               epoch, batch_no, batch)
+                loss_sum += loss_value * len(batch)
                 correct += hits
             val_loss, val_preds = _forward_dataset(model, data.test_x,
                                                    data.test_y)

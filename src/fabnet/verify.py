@@ -79,7 +79,7 @@ def _check_attention_block(rng):
         if np.abs(dense(pooled, p.w_reduce, p.b_reduce).data).min() > 1e-3:
             break
     yield from _legs(
-        lambda *legs: fab_forward(legs[0], FabParams(*legs[1:], p.ratio)).out,
+        lambda *legs: fab_forward(legs[0], FabParams(*legs[1:])).out,
         x, p.w_reduce, p.b_reduce, p.w_expand, p.b_expand)
 
 

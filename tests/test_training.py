@@ -233,6 +233,28 @@ class TestTrainLoop:
               TrainConfig(batch_size=4, max_epochs=1, seed=6))
         assert alive == [False] * 3
 
+    def test_float_batch_freed_before_backward(self, monkeypatch):
+        # A resized manifest loads as float64, which model_input passes
+        # through, so the forward pass reads the gathered batch itself; no
+        # frame may keep it alive through the backward sweep.
+        inputs, alive = [], []
+        real_forward = fabnet.training.model_forward
+        real_backward = fabnet.training.tape_backward
+
+        def forward(m, x, *args):
+            inputs.append(weakref.ref(x.data))
+            return real_forward(m, x, *args)
+
+        def spy_backward(tape, loss):
+            alive.append(inputs[-1]() is not None)
+            return real_backward(tape, loss)
+
+        monkeypatch.setattr(fabnet.training, "model_forward", forward)
+        monkeypatch.setattr(fabnet.training, "tape_backward", spy_backward)
+        train(build_model(TINY, seed=6), tiny_data(seed=6),
+              TrainConfig(batch_size=4, max_epochs=1, seed=6))
+        assert alive == [False] * 3
+
     def test_validation_sweep_peak_memory(self):
         # The untracked sweep runs 50 images in one batch; its convs build
         # columns a block of images at a time in one workspace (about
