@@ -9,7 +9,7 @@ operands, holding just enough state to produce exact gradients when
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +81,11 @@ _BACKWARD_FAULTS: dict = {}
 
 @contextlib.contextmanager
 def backward_fault(op: str, scale: float = 2.0):
-    """Deliberately corrupt the backward rule of ``op`` while active."""
+    """Deliberately corrupt the backward rule of ``op`` while active.
+
+    ``backward`` scales the parent gradients of each ``op`` rule it runs
+    meanwhile, whenever the rule was recorded.
+    """
     _BACKWARD_FAULTS[op] = scale
     try:
         yield
@@ -116,12 +120,6 @@ class Tape:
 
     def record(self, op: str, parents: Sequence[Optional[int]],
                backward: Optional[Callable]) -> int:
-        if backward is not None and op in _BACKWARD_FAULTS:
-            scale = _BACKWARD_FAULTS[op]
-            inner = backward
-            backward = lambda g: tuple(
-                None if pg is None else pg * scale for pg in inner(g)
-            )
         self.nodes.append(_Node(op, tuple(parents), backward))
         return len(self.nodes) - 1
 
@@ -129,19 +127,6 @@ class Tape:
         """Register an existing tensor as a leaf of this tape."""
         t.tape = self
         t.node_id = self.record("leaf", (), None)
-
-
-def _result_tape(op: str, operands: Sequence[Tensor]) -> Optional[Tape]:
-    """Tape shared by the tracked operands, or None if all are constants."""
-    tape = None
-    for t in operands:
-        if not t.tracked:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif t.tape is not tape:
-            raise GraphError(f"{op}: operands recorded on different tapes")
-    return tape
 
 
 def tensor_new(shape, values, track: bool = False,
@@ -171,7 +156,14 @@ def tensor_new(shape, values, track: bool = False,
 
 def _emit(op: str, operands: Sequence[Tensor], data: np.ndarray,
           backward: Optional[Callable]) -> Tensor:
-    tape = _result_tape(op, operands)
+    """Result of ``op``, on the tracked operands' one tape or untracked."""
+    tape = None
+    for t in operands:
+        if t.tracked:
+            if tape is None:
+                tape = t.tape
+            elif t.tape is not tape:
+                raise GraphError(f"{op}: operands recorded on different tapes")
     if tape is None:
         return Tensor(data)
     nid = tape.record(op, tuple(t.node_id for t in operands), backward)
@@ -192,21 +184,20 @@ def ew_mul(a: Tensor, b: Tensor) -> Tensor:
     case it gates every spatial position of ``a`` and its gradient is
     the spatial sum of ``g * a``. No other broadcast is permitted.
     """
-    na, ha, wa, ca = a.shape
-    # The rules close over the arrays, not the tensors: a tensor points
+    gate = a.shape != b.shape
+    if gate and b.shape != (a.shape[0], 1, 1, a.shape[3]):
+        raise ShapeError(f"ew_mul: shapes {tuple(a.shape)} and {tuple(b.shape)} "
+                         "are neither equal nor (batch,1,1,channels) gate-compatible")
+    # The rule closes over the arrays, not the tensors: a tensor points
     # at its tape, and tape -> node -> rule -> tensor -> tape would be a
     # cycle that keeps every finished tape alive until the cyclic GC runs.
     ad, bd = a.data, b.data
-    if a.shape == b.shape:
-        def back(g):
-            return (g * bd, g * ad)
-        return _emit("ew_mul", (a, b), ad * bd, back)
-    if b.shape == (na, 1, 1, ca):
-        def back(g):
-            return (g * bd, (g * ad).sum(axis=(1, 2), keepdims=True))
-        return _emit("ew_mul", (a, b), ad * bd, back)
-    raise ShapeError(f"ew_mul: shapes {tuple(a.shape)} and {tuple(b.shape)} "
-                     "are neither equal nor (batch,1,1,channels) gate-compatible")
+
+    def back(g):
+        gb = g * ad
+        return (g * bd, gb.sum(axis=(1, 2), keepdims=True) if gate else gb)
+
+    return _emit("ew_mul", (a, b), ad * bd, back)
 
 
 def mean_spatial(x: Tensor) -> Tensor:
@@ -281,7 +272,7 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit("sum_all", (x,), out, back)
 
 
-def backward(tape: Tape, loss: Union[Tensor, int]) -> dict:
+def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse-mode gradients of a scalar loss for every reached leaf.
 
     Seeds the loss gradient with 1 and sweeps the tape once in reverse
@@ -292,23 +283,20 @@ def backward(tape: Tape, loss: Union[Tensor, int]) -> dict:
     holds only the gradients still owed to earlier nodes; the nodes and
     their rules stay on the tape and remain callable afterwards.
     """
-    if isinstance(loss, Tensor):
-        if loss.tape is not tape or loss.node_id is None:
-            raise GraphError("loss tensor was not recorded on this tape")
-        loss_id = loss.node_id
-        if loss.data.size != 1:
-            raise ShapeError(f"loss must be scalar, got shape {tuple(loss.shape)}")
-    else:
-        loss_id = int(loss)
-    if not 0 <= loss_id < len(tape.nodes):
-        raise GraphError(f"node {loss_id} is not on the tape")
+    if not isinstance(loss, Tensor) or loss.tape is not tape or not loss.tracked:
+        raise GraphError("loss tensor was not recorded on this tape")
+    if loss.data.size != 1:
+        raise ShapeError(f"loss must be scalar, got shape {tuple(loss.shape)}")
 
-    grads: dict = {loss_id: np.ones((1, 1, 1, 1))}
-    for nid in range(loss_id, -1, -1):
+    grads: dict = {loss.node_id: np.ones((1, 1, 1, 1))}
+    for nid in range(loss.node_id, -1, -1):
         node = tape.nodes[nid]
         if node.backward is None or nid not in grads:
             continue
-        for pid, pg in zip(node.parents, node.backward(grads.pop(nid))):
+        pgs = node.backward(grads.pop(nid))
+        if node.op in _BACKWARD_FAULTS:
+            pgs = [pg if pg is None else pg * _BACKWARD_FAULTS[node.op] for pg in pgs]
+        for pid, pg in zip(node.parents, pgs):
             if pid is None or pg is None:
                 continue
             prev = grads.get(pid)

@@ -83,6 +83,9 @@ def _duplicate_last_record(blob: bytes) -> bytes:
 
 
 CHECKPOINT_FAULTS = {
+    "unsupported version": (
+        lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+        "unsupported checkpoint version 2"),
     "non-finite value": (_nan_last_value, "non-finite value in head.out.bias"),
     "config not UTF-8": (lambda blob: _set_byte(blob, HEADER, 0xFF),
                          "checkpoint config is not valid UTF-8"),

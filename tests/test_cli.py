@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -14,11 +15,12 @@ import fabnet.cli
 from fabnet.cli import (COMMANDS, RunConfig, build_parser, load_run_config,
                         main)
 from fabnet.errors import ConfigError
-from fabnet.model import ModelConfig, load_checkpoint
+from fabnet.model import (ModelConfig, build_model, load_checkpoint,
+                          save_checkpoint)
 from fabnet.tensor import backward_fault
 from fabnet.training import TrainConfig
 from fabnet.verify import run_suite
-from checkpoint_faults import CHECKPOINT_FAULTS
+from checkpoint_faults import CHECKPOINT_FAULTS, split_records
 
 SMALL_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -149,6 +151,33 @@ class TestTrain:
         assert with_fab.config.use_fab and not without.config.use_fab
         assert with_fab.config == type(with_fab.config)(
             **{**without.config.__dict__, "use_fab": True})
+
+    def test_freeze_backbone_trains_only_attention_and_head(
+            self, cli_workspace, tmp_path):
+        assert main(["train", "--config", str(cli_workspace / "train.cfg"),
+                     "--data", str(cli_workspace / "ds" / "manifest.csv"),
+                     "--out", str(tmp_path / "frozen"), "--freeze-backbone"]) == 0
+        trained = tmp_path / "frozen" / "checkpoint.fabn"
+        m = load_checkpoint(trained)
+        # The run's seed is SMALL_CONFIG's.
+        save_checkpoint(build_model(m.config, 7, m.class_names),
+                        tmp_path / "init.fabn")
+
+        def records(path):
+            head, recs = split_records(path.read_bytes())
+            return head, {rec[4:4 + struct.unpack_from("<I", rec)[0]]: rec
+                          for rec in recs}
+
+        head, got = records(trained)
+        _, init = records(tmp_path / "init.fabn")
+        assert b"\nfreeze_backbone=true\n" in head
+        assert got.keys() == init.keys()
+        for name in got:
+            if name.startswith(b"block"):
+                assert got[name] == init[name], name
+            else:
+                assert name.startswith((b"fab.", b"head.")), name
+                assert got[name] != init[name], name
 
     def test_same_seed_byte_identical_curves(self, cli_workspace, tmp_path):
         args = ["train", "--config", str(cli_workspace / "train.cfg"),
