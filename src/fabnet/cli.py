@@ -219,13 +219,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     # sets the metavar, whose default would list only the one built; the
     # full parser keeps the default, as its "required" and "invalid choice"
     # errors name the argument "command" only while the metavar is unset.
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        commands = COMMANDS
-    else:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(COMMANDS) + "}")
-        commands = {command: COMMANDS[command]}
+    # An explicit prog spares argparse formatting a usage line to find it.
+    sub = parser.add_subparsers(
+        prog=parser.prog, dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    commands = COMMANDS if command is None else {command: COMMANDS[command]}
     for name, (help_text, arguments, handler) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:

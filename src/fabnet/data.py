@@ -120,9 +120,8 @@ def decode_image(path) -> np.ndarray:
                                f"{height * width * channels} bytes, "
                                f"got {len(payload)}")
     grid = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    if channels == 1:
-        grid = np.repeat(grid, 3, axis=2)
-    return grid.copy()
+    # np.repeat makes a new array; a P6 grid is copied off the read-only blob.
+    return np.repeat(grid, 3, axis=2) if channels == 1 else grid.copy()
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
@@ -142,12 +141,11 @@ def bilinear_resize(img: np.ndarray, target) -> np.ndarray:
     preserved bit-exactly. Each source row set is gathered once, then
     widened to float64 and viewed as (rows, W*C), so every lerp runs over
     contiguous rows and a decoder's uint8 grid is never widened whole.
-    The result is always a new array.
+    The result is always a new array. At equal sizes every sample centre
+    is an exact pixel and every weight 0.0, so it holds ``img``'s values.
     """
     src_h, src_w, c = img.shape
     dst_h, dst_w = target
-    if (src_h, src_w) == (dst_h, dst_w):
-        return img.astype(np.float64)
 
     def axis_coords(src, dst):
         scale = src / dst
@@ -197,8 +195,6 @@ def preprocess(raw: np.ndarray, target) -> Tensor:
     """Bilinear-resize a decoded grid to ``target`` and scale into [0, 1]."""
     pixels = bilinear_resize(raw, target)
     pixels /= PIXEL_SCALE
-    if not np.isfinite(pixels).all():
-        raise ValueError("tensor values must be finite")
     h, w = target
     return Tensor(pixels.reshape(1, h, w, 3))
 

@@ -398,11 +398,9 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     chunk = _chunk_images(m.config)
     if (observe is None and n > chunk
             and not any(v.tracked for v in (x, *m.params.values()))):
-        fh, fw = feature_map_size(m.config)
-        t = Tensor(np.empty((n, fh, fw, m.config.blocks[-1].out_channels)))
-        for start in range(0, n, chunk):
-            t.data[start:start + chunk] = _backbone(
-                m, Tensor(x.data[start:start + chunk])).data
+        t = Tensor(np.concatenate([
+            _backbone(m, Tensor(x.data[start:start + chunk])).data
+            for start in range(0, n, chunk)]))
     else:
         t = _backbone(m, x, observe)
     if m.config.use_fab:

@@ -378,6 +378,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "{synth,train,eval,predict,gradcheck}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [name, "--help"] for name in COMMANDS])
+    def test_help_exits_zero_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        prog = " ".join(["fabnet"] + argv[:-1])
+        assert capsys.readouterr().out.startswith(f"usage: {prog} ")
+
 
 BAD_INPUTS = [
     ("synth", ["--classes", "1"]),
