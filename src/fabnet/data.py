@@ -8,6 +8,7 @@ expanded to three channels. A dataset is a CSV manifest of
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,24 +71,15 @@ def load_manifest(path) -> DatasetManifest:
                            base_dir=path.parent)
 
 
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_token(blob: bytes, offset: int):
     """Next whitespace-delimited header token, skipping '#' comments."""
-    n = len(blob)
-    while offset < n:
-        c = blob[offset:offset + 1]
-        if c == b"#":
-            while offset < n and blob[offset:offset + 1] != b"\n":
-                offset += 1
-        elif c.isspace():
-            offset += 1
-        else:
-            break
-    start = offset
-    while offset < n and not blob[offset:offset + 1].isspace():
-        offset += 1
-    if start == offset:
+    match = _HEADER_TOKEN.match(blob, offset)
+    if not match.group(1):
         raise ImageFormatError("unexpected end of header")
-    return blob[start:offset], offset
+    return match.group(1), match.end()
 
 
 def decode_image(path) -> np.ndarray:

@@ -183,11 +183,8 @@ def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
         trainable = trainable_parameters(model)
         if trainable:
             grad_map = tape_backward(tape, loss)
-            grads = {}
-            for name, tensor in trainable:
-                g = grad_map.get(tensor.node_id)
-                grads[name] = (g.data if g is not None
-                               else np.zeros_like(tensor.data))
+            grads = {name: grad_map[tensor.node_id].data
+                     for name, tensor in trainable}
             adam_step(trainable, grads, state, cfg.learning_rate)
             for name, tensor in trainable:
                 if not np.isfinite(tensor.data).all():
@@ -267,32 +264,36 @@ class MetricsReport:
 
 
 def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
-    """Confusion matrix and derived metrics; 0/0 ratios become 0, flagged."""
+    """Confusion matrix and derived metrics; 0/0 ratios become 0, flagged.
+
+    ``y_true`` and ``y_pred`` are equally long, non-empty 1-D class ids
+    in [0, K), K = ``len(class_names)``.
+    """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     k = len(class_names)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[t, p] += 1
-    tp = np.diag(confusion).astype(np.float64)
-    pred_totals = confusion.sum(axis=0).astype(np.float64)
-    true_totals = confusion.sum(axis=1).astype(np.float64)
+    if y_true.ndim != 1 or y_true.shape != y_pred.shape or not len(y_true):
+        raise ValueError(f"need equal-length non-empty 1-D ids, got shapes "
+                         f"{y_true.shape} and {y_pred.shape}")
+    ids = np.concatenate([y_true, y_pred])
+    if ids.min() < 0 or ids.max() >= k:
+        raise ValueError(f"class ids must lie in [0, {k})")
+    confusion = np.bincount(k * y_true + y_pred,
+                            minlength=k * k).reshape(k, k)
+    tp = np.diag(confusion)
+    pred_totals = confusion.sum(axis=0)
+    true_totals = confusion.sum(axis=1)
 
-    flagged = []
-    precision = np.zeros(k)
-    recall = np.zeros(k)
-    f1 = np.zeros(k)
-    for i in range(k):
-        if pred_totals[i] > 0:
-            precision[i] = tp[i] / pred_totals[i]
-        else:
-            flagged.append(f"precision:{class_names[i]}")
-        if true_totals[i] > 0:
-            recall[i] = tp[i] / true_totals[i]
-        else:
-            flagged.append(f"recall:{class_names[i]}")
-        if precision[i] + recall[i] > 0:
-            f1[i] = 2.0 * precision[i] * recall[i] / (precision[i] + recall[i])
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(k), where=den > 0)
+
+    precision = ratio(tp, pred_totals)
+    recall = ratio(tp, true_totals)
+    f1 = ratio(2.0 * precision * recall, precision + recall)
+    flagged = [f"{metric}:{name}" for i, name in enumerate(class_names)
+               for metric, total in (("precision", pred_totals),
+                                     ("recall", true_totals))
+               if total[i] == 0]
 
     accuracy = float(tp.sum() / len(y_true))
     return MetricsReport(

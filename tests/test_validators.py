@@ -9,7 +9,8 @@ from fabnet.model import (ConvBlockSpec, ModelConfig, conv2d, parse_blocks,
                           validate_config)
 from fabnet.tensor import (Tensor, dense, ew_mul, grad_check, sum_all,
                            tensor_new)
-from fabnet.training import evaluate, softmax_cross_entropy
+from fabnet.training import (evaluate, metrics_from_predictions,
+                             softmax_cross_entropy)
 
 
 def zeros(*shape):
@@ -52,6 +53,9 @@ VALIDATORS = {
     "conv_even_kernel": (
         lambda tmp: conv2d(zeros(1, 4, 4, 3), zeros(2, 2, 3, 4), zeros(1, 1, 1, 4)),
         ShapeError, "kernel extent must be odd, got 2x2"),
+    "conv_bias_mismatch": (
+        lambda tmp: conv2d(zeros(1, 4, 4, 3), zeros(3, 3, 3, 4), zeros(1, 1, 1, 3)),
+        ShapeError, "bias (1, 1, 1, 3) does not match 4 output channels"),
     "empty_block_entry": (
         lambda tmp: parse_blocks("16,,32"),
         ConfigError, "empty block entry"),
@@ -77,6 +81,15 @@ VALIDATORS = {
     "label_count": (
         lambda tmp: softmax_cross_entropy(zeros(2, 1, 1, 3), [0]),
         ValueError, "expected 2 labels"),
+    "metrics_short_predictions": (
+        lambda tmp: metrics_from_predictions([0, 1, 1], [0, 1], ("a", "b")),
+        ValueError, "need equal-length non-empty 1-D ids"),
+    "metrics_negative_id": (
+        lambda tmp: metrics_from_predictions([0, -1, 1], [0, 1, 1], ("a", "b")),
+        ValueError, "class ids must lie in [0, 2)"),
+    "metrics_nothing": (
+        lambda tmp: metrics_from_predictions([], [], ("a", "b")),
+        ValueError, "need equal-length non-empty 1-D ids"),
     "evaluate_nothing": (
         lambda tmp: evaluate(None, np.zeros((0, 4, 4, 3), np.uint8), []),
         ValueError, "evaluate needs at least one sample"),
