@@ -601,21 +601,19 @@ def _read_checkpoint(fh, size: int) -> Model:
         name = decode_utf8(read(name_len, "name"), "parameter name", FormatError)
         if name in loaded:
             raise FormatError(f"duplicate parameter record {name!r}")
+        if name not in table:
+            raise FormatError(f"parameter table mismatch: {[name]}")
         shape = struct.unpack("<4Q", read(32, "shape"))
-        if name in table and shape != table[name][0]:
+        if shape != table[name][0]:
             raise FormatError(f"shape table mismatch for {name}")
         count = math.prod(shape)
-        # A record the table does not name is read flat: its shape may
-        # multiply to 0 from extents no array can have.
-        data = (np.empty(shape if name in table else count, "<f8")
-                if offset + count * 8 <= size else None)
+        data = np.empty(shape, "<f8") if offset + count * 8 <= size else None
         if data is None or fh.readinto(data) != count * 8:
             raise FormatError(f"truncated checkpoint while reading values of {name}")
         offset += count * 8
         if not np.isfinite(data).all():
             raise FormatError(f"non-finite value in {name}")
         loaded[name] = data
-    if loaded.keys() != table.keys():
-        mismatch = set(table) ^ set(loaded)
-        raise FormatError(f"parameter table mismatch: {sorted(mismatch)}")
+    if len(loaded) != len(table):
+        raise FormatError(f"parameter table mismatch: {sorted(table.keys() - loaded)}")
     return _model_from_table(cfg, class_names, table, loaded)

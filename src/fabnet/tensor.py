@@ -9,6 +9,7 @@ operands, holding just enough state to produce exact gradients when
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,10 +24,6 @@ class Shape4(NamedTuple):
     height: int
     width: int
     channels: int
-
-    @property
-    def element_count(self) -> int:
-        return self.batch * self.height * self.width * self.channels
 
 
 class Tensor:
@@ -93,13 +90,10 @@ def backward_fault(op: str, scale: float = 2.0):
         _BACKWARD_FAULTS.pop(op, None)
 
 
-class _Node:
-    __slots__ = ("op", "parents", "backward")
-
-    def __init__(self, op, parents, backward):
-        self.op = op
-        self.parents = parents
-        self.backward = backward
+class _Node(NamedTuple):
+    op: str
+    parents: tuple
+    backward: Optional[Callable]
 
 
 class Tape:
@@ -140,10 +134,10 @@ def tensor_new(shape, values, track: bool = False,
     if min(shape) < 1:
         raise ShapeError(f"all extents must be >= 1, got {tuple(shape)}")
     data = np.asarray(values, dtype=np.float64).reshape(-1)
-    if data.size != shape.element_count:
+    if data.size != math.prod(shape):
         raise ShapeError(
             f"got {data.size} values for shape {tuple(shape)} "
-            f"({shape.element_count} elements)")
+            f"({math.prod(shape)} elements)")
     if not np.all(np.isfinite(data)):
         raise ValueError("tensor values must be finite")
     out = Tensor(data.reshape(shape).copy())
@@ -322,7 +316,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
     grads = backward(tape, out)
     analytic = grads.get(leaf.node_id)
     aflat = (analytic.values if analytic is not None
-             else np.zeros(x.shape.element_count))
+             else np.zeros(x.data.size))
 
     base = x.values.copy()
     worst = 0.0

@@ -45,9 +45,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n, h, w, k = logits.shape
     if (h, w) != (1, 1):
         raise ShapeError(f"logits must be (N,1,1,K), got {tuple(logits.shape)}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class ids, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
     z = logits.data.reshape(n, k)
@@ -269,12 +271,15 @@ def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
     ``y_true`` and ``y_pred`` are equally long, non-empty 1-D class ids
     in [0, K), K = ``len(class_names)``.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     k = len(class_names)
     if y_true.ndim != 1 or y_true.shape != y_pred.shape or not len(y_true):
         raise ValueError(f"need equal-length non-empty 1-D ids, got shapes "
                          f"{y_true.shape} and {y_pred.shape}")
+    if y_true.dtype.kind not in "iu" or y_pred.dtype.kind not in "iu":
+        raise ValueError(f"class ids must be integers, got {y_true.dtype} "
+                         f"and {y_pred.dtype}")
+    y_true, y_pred = y_true.astype(np.int64), y_pred.astype(np.int64)
     ids = np.concatenate([y_true, y_pred])
     if ids.min() < 0 or ids.max() >= k:
         raise ValueError(f"class ids must lie in [0, {k})")
@@ -319,7 +324,7 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> MetricsReport:
     """
     if len(y) < 1:
         raise ValueError("evaluate needs at least one sample")
-    _, preds = _forward_dataset(model, x, np.asarray(y, dtype=np.int64))
+    _, preds = _forward_dataset(model, x, y)
     return metrics_from_predictions(y, preds, model.class_names)
 
 
@@ -363,7 +368,6 @@ def ablation_run(data: SplitData, model_cfg: ModelConfig, cfg: TrainConfig,
         for use_fab in (True, False):
             m = build_model(replace(model_cfg, use_fab=use_fab), seed)
             m, curve = train(m, data, replace(cfg, seed=seed))
-            accs[use_fab] = metrics_from_predictions(
-                data.test_y, curve.val_preds, m.class_names).accuracy
+            accs[use_fab] = curve.records[-1].val_acc
         rows.append(AblationRow(seed, accs[True], accs[False]))
     return AblationResult(rows=tuple(rows))

@@ -82,6 +82,14 @@ def _duplicate_last_record(blob: bytes) -> bytes:
     return head + b"".join(records + records[-1:])
 
 
+def _unknown_record_first(blob: bytes) -> bytes:
+    """A one-value record named ``bogus``, holding NaN, before the first."""
+    head, records = split_records(blob)
+    bogus = (struct.pack("<I", 5) + b"bogus" + struct.pack("<4Q", 1, 1, 1, 1)
+             + struct.pack("<d", math.nan))
+    return head + bogus + b"".join(records)
+
+
 CHECKPOINT_FAULTS = {
     "unsupported version": (
         lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
@@ -92,6 +100,8 @@ CHECKPOINT_FAULTS = {
     "name not UTF-8": (_bad_utf8_name, "parameter name is not valid UTF-8"),
     "duplicate record": (_duplicate_last_record,
                          "duplicate parameter record 'head.out.bias'"),
+    "unknown record first": (_unknown_record_first,
+                             "parameter table mismatch: ['bogus']"),
     "input size too large": (
         lambda blob: _edit_config(_edit_config(
             blob, "input_height", lambda v: "65536"),

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,6 +407,15 @@ class TestEvaluate:
             assert list(report.f1) == f1
             assert report.accuracy == accuracy
 
+    def test_narrow_integer_ids_count_as_int64(self):
+        # 17 * 16 + 16 does not fit in a uint8; the ids are widened first.
+        names = [str(i) for i in range(17)]
+        narrow = metrics_from_predictions(np.array([16, 3], np.uint8),
+                                          np.array([16, 2], np.uint8), names)
+        wide = metrics_from_predictions([16, 3], [16, 2], names)
+        assert np.array_equal(narrow.confusion, wide.confusion)
+        assert narrow.confusion[16, 16] == 1
+
     def test_argmax_tie_breaks_low(self):
         m = build_model(TINY, seed=6)
         for t in m.params.values():
@@ -431,6 +441,18 @@ class TestAblation:
                 == b.rows[0].accuracy_without_attention)
         assert (a.rows[0].accuracy_with_attention
                 == b.rows[0].accuracy_with_attention)
+
+    def test_accuracies_are_each_arms_scored_predictions(self):
+        # Each arm's accuracy is the metric suite's accuracy of a separate
+        # train with the same seed and config, scored on its last sweep.
+        data, tcfg = tiny_data(seed=3), TrainConfig(max_epochs=2, seed=0)
+        row = ablation_run(data, TINY, tcfg, seeds=[5]).rows[0]
+        for use_fab, acc in ((True, row.accuracy_with_attention),
+                             (False, row.accuracy_without_attention)):
+            m = build_model(replace(TINY, use_fab=use_fab), 5)
+            m, curve = train(m, data, replace(tcfg, seed=5))
+            assert acc == metrics_from_predictions(
+                data.test_y, curve.val_preds, m.class_names).accuracy
 
     def test_needs_a_seed(self, small_split):
         with pytest.raises(ValueError):

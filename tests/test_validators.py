@@ -81,12 +81,18 @@ VALIDATORS = {
     "label_count": (
         lambda tmp: softmax_cross_entropy(zeros(2, 1, 1, 3), [0]),
         ValueError, "expected 2 labels"),
+    "label_not_integer": (
+        lambda tmp: softmax_cross_entropy(zeros(2, 1, 1, 3), [0.5, 2.9]),
+        ValueError, "labels must be integer class ids, got float64"),
     "metrics_short_predictions": (
         lambda tmp: metrics_from_predictions([0, 1, 1], [0, 1], ("a", "b")),
         ValueError, "need equal-length non-empty 1-D ids"),
     "metrics_negative_id": (
         lambda tmp: metrics_from_predictions([0, -1, 1], [0, 1, 1], ("a", "b")),
         ValueError, "class ids must lie in [0, 2)"),
+    "metrics_float_id": (
+        lambda tmp: metrics_from_predictions([0.9, 1.0, 1.5], [0, 1, 1], ("a", "b")),
+        ValueError, "class ids must be integers, got float64"),
     "metrics_nothing": (
         lambda tmp: metrics_from_predictions([], [], ("a", "b")),
         ValueError, "need equal-length non-empty 1-D ids"),
