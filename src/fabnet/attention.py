@@ -35,10 +35,10 @@ class FabActivations:
     """Intermediate results of one block application."""
 
     pooled: Tensor     # (N, 1, 1, C) spatial means
+    bottleneck: Tensor  # (N, 1, 1, C/ratio) bottleneck pre-activation
     reduced: Tensor    # (N, 1, 1, C/ratio) after bottleneck + ReLU
     gate: Tensor       # (N, 1, 1, C) sigmoid output, strictly in (0, 1)
-    gated: Tensor      # (N, H, W, C) input scaled by gate
-    out: Tensor        # (N, H, W, C) gated + input
+    out: Tensor        # (N, H, W, C) input scaled by gate, plus input
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,12 @@ def fab_forward(x: Tensor, p: FabParams) -> FabActivations:
     out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x
     """
     pooled = mean_spatial(x)
-    reduced = relu(dense(pooled, p.w_reduce, p.b_reduce))
+    bottleneck = dense(pooled, p.w_reduce, p.b_reduce)
+    reduced = relu(bottleneck)
     gate = sigmoid(dense(reduced, p.w_expand, p.b_expand))
-    gated = ew_mul(x, gate)
-    out = ew_add(gated, x)
-    return FabActivations(pooled=pooled, reduced=reduced, gate=gate,
-                          gated=gated, out=out)
+    out = ew_add(ew_mul(x, gate), x)
+    return FabActivations(pooled=pooled, bottleneck=bottleneck, reduced=reduced,
+                          gate=gate, out=out)
 
 
 def fab_gate_stats(acts: FabActivations) -> GateStats:

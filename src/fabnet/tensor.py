@@ -130,6 +130,8 @@ def tensor_new(shape, values, track: bool = False,
     With ``track=True`` the tensor is registered as a leaf on ``tape``
     and will receive a gradient from ``backward``.
     """
+    if len(shape) != 4:
+        raise ShapeError(f"shape must have 4 extents, got {tuple(shape)}")
     shape = Shape4(*shape)
     if min(shape) < 1:
         raise ShapeError(f"all extents must be >= 1, got {tuple(shape)}")

@@ -75,8 +75,7 @@ def _check_attention_block(rng):
     for _ in range(64):
         x = _uniform(rng, (2, 4, 4, 8))
         p = fab_init(8, 4, rng)
-        pooled = fab_forward(x, p).pooled
-        if np.abs(dense(pooled, p.w_reduce, p.b_reduce).data).min() > 1e-3:
+        if np.abs(fab_forward(x, p).bottleneck.data).min() > 1e-3:
             break
     yield from _legs(
         lambda *legs: fab_forward(legs[0], FabParams(*legs[1:])).out,
@@ -108,8 +107,7 @@ def _kink_margin(model, x: Tensor) -> float:
 
     def observe(name, value):
         if name == "fab":
-            p = model.fab_params()
-            value = dense(value.pooled, p.w_reduce, p.b_reduce)
+            value = value.bottleneck
         margins.append(np.abs(value.data).min())
         if pooling.get(name):
             n, h, w, c = value.shape

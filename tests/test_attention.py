@@ -7,7 +7,8 @@ import pytest
 
 from fabnet.attention import fab_forward, fab_gate_stats, fab_init
 from fabnet.errors import ConfigError, ShapeError
-from fabnet.tensor import Tensor, grad_check, sum_all, tensor_new
+from fabnet.tensor import (Tensor, dense, grad_check, mean_spatial, sum_all,
+                           tensor_new)
 from oracles import attention_oracle
 
 
@@ -69,6 +70,15 @@ class TestForwardClosedForms:
         assert acts.out.data.shape == (2, 7, 5, 16)
         assert acts.reduced.data.shape == (2, 1, 1, 4)
         assert acts.gate.data.shape == (2, 1, 1, 16)
+
+    def test_bottleneck_is_the_relu_input(self):
+        p = fab_init(8, 4, np.random.default_rng(8))
+        x = Tensor(np.random.default_rng(9).uniform(-1, 1, size=(2, 4, 4, 8)))
+        acts = fab_forward(x, p)
+        want = dense(mean_spatial(x), p.w_reduce, p.b_reduce)
+        assert acts.bottleneck.data.tobytes() == want.data.tobytes()
+        b = acts.bottleneck.data
+        assert acts.reduced.data.tobytes() == np.where(b > 0, b, 0.0).tobytes()
 
     def test_channel_mismatch(self):
         p = fab_init(8, 4, np.random.default_rng(6))

@@ -62,6 +62,9 @@ VALIDATORS = {
     "rank_3_tensor": (
         lambda tmp: Tensor(np.zeros(3)),
         ShapeError, "must be rank 4, got rank 1"),
+    "tensor_new_rank_3": (
+        lambda tmp: tensor_new((1, 2, 3), [0.0] * 6),
+        ShapeError, "shape must have 4 extents, got (1, 2, 3)"),
     "item_of_two": (
         lambda tmp: zeros(1, 1, 1, 2).item(),
         ShapeError, "item() needs a single-element tensor"),
