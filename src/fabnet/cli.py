@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import (SplitSpec, decode_image, load_manifest, load_pixels,
                    preprocess, stratified_split, synth_generate)
-from .errors import ConfigError, FabnetError, decode_utf8
+from .errors import ConfigError, FabnetError, FormatError, decode_utf8
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
                     parse_blocks, parse_bool, read_settings, save_checkpoint)
 from .training import (SplitData, TrainConfig, evaluate,
@@ -134,6 +134,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checked(checkpoint, forward, *args):
+    """Run ``forward(*args)``; an overflow is an error naming ``checkpoint``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return forward(*args)
+    except FloatingPointError as exc:
+        raise FormatError(f"checkpoint {checkpoint}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.data)
@@ -143,7 +152,7 @@ def cmd_eval(args) -> int:
             f"manifest classes {list(manifest.class_names)}")
     indices = np.arange(len(manifest.entries))
     x, y = load_pixels(manifest, indices, model.config.input_size)
-    report = evaluate(model, x, y)
+    report = _checked(args.checkpoint, evaluate, model, x, y)
     out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(report.to_csv())
@@ -157,7 +166,7 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     raw = decode_image(args.image)
     pixels = preprocess(raw, model.config.input_size)
-    logits = model_forward(model, pixels)
+    logits = _checked(args.checkpoint, model_forward, model, pixels)
     probs = softmax_probabilities(logits)[0]
     winner = int(np.argmax(probs))
     print(f"prediction: {model.class_names[winner]}")

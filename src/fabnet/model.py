@@ -368,6 +368,23 @@ def _backbone(m: Model, t: Tensor, observe=None) -> Tensor:
     return t
 
 
+def _tail(m: Model, t: Tensor, observe=None) -> Tensor:
+    """Attention block, spatial mean and head over the whole batch at once.
+
+    The head's dense layers are not bit-stable across row blocks.
+    """
+    if m.config.use_fab:
+        acts = fab_forward(t, m.fab_params())
+        if observe is not None:
+            observe("fab", acts)
+        t = acts.out
+    t = dense(mean_spatial(t), m.params["head.hidden.weight"],
+              m.params["head.hidden.bias"])
+    if observe is not None:
+        observe("head.hidden", t)
+    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
+
+
 def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
 
@@ -377,12 +394,9 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     sign of exact zeros, which the following sums erase.
 
     An untracked forward (``x`` and every parameter untracked, no
-    observer) of more than one chunk of images (``_chunk_images``) runs
-    the backbone depth-first, one chunk at a time (Alwani et al.,
-    "Fused-Layer CNN Accelerators", MICRO 2016), so no conv output exists
-    for the whole batch; the attention block and the head, whose dense
-    layers are not bit-stable across row blocks, then run once over the
-    whole batch. The logits are the bytes of the whole-batch forward.
+    observer) of over one chunk of images (``_chunk_images``) runs the
+    backbone depth-first, a chunk at a time (Alwani et al., "Fused-Layer
+    CNN Accelerators", MICRO 2016), with the whole-batch forward's bytes.
 
     ``observe(name, value)``, if given, sees in order each block's conv
     output before pool and ReLU as ``"block<i>.conv"``, the attention
@@ -403,16 +417,7 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
             for start in range(0, n, chunk)]))
     else:
         t = _backbone(m, x, observe)
-    if m.config.use_fab:
-        acts = fab_forward(t, m.fab_params())
-        if observe is not None:
-            observe("fab", acts)
-        t = acts.out
-    t = dense(mean_spatial(t), m.params["head.hidden.weight"],
-              m.params["head.hidden.bias"])
-    if observe is not None:
-        observe("head.hidden", t)
-    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
+    return _tail(m, t, observe)
 
 
 def trainable_parameters(m: Model) -> list:

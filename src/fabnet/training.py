@@ -206,6 +206,11 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
     """
     if cfg.max_epochs < 1:
         raise ConfigError(f"max_epochs must be >= 1, got {cfg.max_epochs}")
+    for split, x, y in (("train", data.train_x, data.train_y),
+                        ("test", data.test_x, data.test_y)):
+        if not len(y) or len(x) != len(y):
+            raise ValueError(f"{split} split needs at least one image and one "
+                             f"id per image, got {len(x)} images, {len(y)} ids")
     state = AdamState()
     curve = EpochCurve()
     n_train = len(data.train_y)
@@ -322,8 +327,9 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> MetricsReport:
     ``x`` is ``uint8`` decoder bytes or float model input, as in
     ``SplitData``.
     """
-    if len(y) < 1:
-        raise ValueError("evaluate needs at least one sample")
+    if len(y) < 1 or len(x) != len(y):
+        raise ValueError(f"evaluate needs at least one sample and one id per "
+                         f"image, got {len(x)} images, {len(y)} ids")
     _, preds = _forward_dataset(model, x, y)
     return metrics_from_predictions(y, preds, model.class_names)
 

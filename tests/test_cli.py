@@ -303,6 +303,42 @@ class TestPredict:
         assert "error" in capsys.readouterr().err
 
 
+class TestOverflowingCheckpoint:
+    """Finite weights whose forward pass overflows fail loudly.
+
+    The loader accepts every finite value, and ReLU maps the NaNs of
+    ``inf - inf`` to 0.0, so without a check the logits look finite.
+    """
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_one_error_line_no_traceback(self, command, cli_workspace,
+                                         tmp_path):
+        model = load_checkpoint(cli_workspace / "run" / "checkpoint.fabn")
+        for name, t in model.params.items():
+            if name.endswith(".conv.weight"):
+                t.data *= 1e200
+        checkpoint = tmp_path / "overflow.fabn"
+        save_checkpoint(model, checkpoint)
+        if command == "predict":
+            argv = ["--image", str(min((cli_workspace / "ds").glob("*.ppm")))]
+        else:
+            argv = ["--data", str(cli_workspace / "run" / "test_split.csv"),
+                    "--report", str(tmp_path / "rep")]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fabnet.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fabnet.cli", command,
+             "--checkpoint", str(checkpoint)] + argv,
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(checkpoint) in lines[0]
+        assert proc.stdout == ""
+        assert not (tmp_path / "rep").exists()
+
+
 class TestGradcheck:
     def test_corrupted_backward_rule_detected(self, capsys):
         with backward_fault("relu", scale=2.0):

@@ -335,6 +335,69 @@ class TestChunkedForward:
                     assert row.tobytes() == alone[i], (n, i)
 
 
+def _watched_run(m, forward, x, labels):
+    """Logits, observer names and trainable gradients, as bytes."""
+    seen = []
+    tape = Tape()
+    with m.watch_trainable(tape):
+        logits = forward(m, Tensor(x), lambda name, value: seen.append(name))
+        grads = backward(tape, softmax_cross_entropy(logits, labels))
+        return (logits.data.tobytes(), seen,
+                {name: grads[t.node_id].data.tobytes()
+                 for name, t in trainable_parameters(m)})
+
+
+class TestTail:
+    """model_forward is _backbone then _tail."""
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(use_fab=False),
+                                     CHUNK_CONFIGS[1][0]],
+                             ids=["default", "no_fab", "criterion6"])
+    def test_two_halves_equal_the_whole(self, cfg):
+        m = build_model(cfg, seed=47)
+        h, w = cfg.input_size
+        rng = np.random.default_rng(48)
+        x = rng.uniform(0, 1, (20, h, w, 3))
+        labels = rng.integers(0, cfg.num_classes, 20)
+
+        def halves(m, xt, observe):
+            t = fabnet.model._backbone(m, xt, observe)
+            return fabnet.model._tail(m, t, observe)
+
+        whole = _watched_run(m, model_forward, x, labels)
+        assert _watched_run(m, halves, x, labels) == whole
+        assert whole[1][-1] == "head.hidden"
+        assert len(whole[2]) == len(m.params)
+
+    @pytest.mark.parametrize("use_fab", [True, False], ids=["fab", "no_fab"])
+    def test_frozen_tail_ignores_where_its_feature_map_came_from(self,
+                                                                 use_fab):
+        # A frozen step's tail gives the same bytes fed with the chunked
+        # untracked backbone's output, so that output can be cached.
+        cfg = ModelConfig(use_fab=use_fab, freeze_backbone=True)
+        m = build_model(cfg, seed=49)
+        rng = np.random.default_rng(50)
+        x = rng.uniform(0, 1, (50, 32, 32, 3))
+        labels = rng.integers(0, cfg.num_classes, 50)
+        chunk = fabnet.model._chunk_images(cfg)
+        assert chunk == 16
+        features = np.concatenate([
+            fabnet.model._backbone(m, Tensor(x[start:start + chunk])).data
+            for start in range(0, 50, chunk)])
+
+        def cached(m, xt, observe):
+            return fabnet.model._tail(m, Tensor(features))
+
+        def unobserved(m, xt, observe):
+            return model_forward(m, xt)
+
+        got = _watched_run(m, cached, x, labels)
+        want = _watched_run(m, unobserved, x, labels)
+        assert got[0] == want[0]
+        assert got[2] == want[2]
+        assert len(got[2]) == (8 if use_fab else 4)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(6)

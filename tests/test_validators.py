@@ -9,8 +9,9 @@ from fabnet.model import (ConvBlockSpec, ModelConfig, conv2d, parse_blocks,
                           validate_config)
 from fabnet.tensor import (Tensor, dense, ew_mul, grad_check, sum_all,
                            tensor_new)
-from fabnet.training import (evaluate, metrics_from_predictions,
-                             softmax_cross_entropy)
+from fabnet.training import (SplitData, TrainConfig, evaluate,
+                             metrics_from_predictions, softmax_cross_entropy,
+                             train)
 
 
 def zeros(*shape):
@@ -21,6 +22,19 @@ def decode_bytes(tmp_path, blob):
     path = tmp_path / "image.ppm"
     path.write_bytes(blob)
     return decode_image(path)
+
+
+def images(n):
+    return np.zeros((n, 8, 8, 3), np.uint8)
+
+
+def ids(n):
+    return np.arange(n) % 2
+
+
+def train_on(train_x, train_y, test_x, test_y):
+    return train(None, SplitData(train_x, train_y, test_x, test_y),
+                 TrainConfig())
 
 
 def square_overflows(t):
@@ -102,6 +116,24 @@ VALIDATORS = {
     "evaluate_nothing": (
         lambda tmp: evaluate(None, np.zeros((0, 4, 4, 3), np.uint8), []),
         ValueError, "evaluate needs at least one sample"),
+    "evaluate_ids_short": (
+        lambda tmp: evaluate(None, images(100), ids(64)),
+        ValueError, "evaluate needs at least one sample"),
+    "train_split_empty": (
+        lambda tmp: train_on(images(0), ids(0), images(4), ids(4)),
+        ValueError, "train split needs at least one image"),
+    "test_split_empty": (
+        lambda tmp: train_on(images(4), ids(4), images(0), ids(0)),
+        ValueError, "test split needs at least one image"),
+    "train_ids_short": (
+        lambda tmp: train_on(images(100), ids(3), images(100), ids(100)),
+        ValueError, "got 100 images, 3 ids"),
+    "train_images_short": (
+        lambda tmp: train_on(images(3), ids(100), images(100), ids(100)),
+        ValueError, "got 3 images, 100 ids"),
+    "test_ids_short": (
+        lambda tmp: train_on(images(100), ids(100), images(100), ids(64)),
+        ValueError, "test split needs at least one image and one id per image"),
     "image_width_zero": (
         lambda tmp: decode_bytes(tmp, b"P6\n0 1\n255\n"),
         ImageFormatError, "bad dimensions 0x1"),
