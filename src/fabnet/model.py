@@ -108,27 +108,19 @@ class Model:
             b_expand=self.params["fab.expand.bias"],
         )
 
-    def watch_trainable(self, tape: Tape) -> contextlib.ExitStack:
-        """Register every trainable parameter as a leaf of ``tape``.
+    def watch_trainable(self, tape: Tape) -> Model:
+        """This model with each trainable parameter a fresh leaf of ``tape``.
 
-        Returns a context whose exit unbinds those parameters again
-        (``tape``/``node_id`` back to ``None``), so in
-        ``with model.watch_trainable(tape): ...`` the binding, and with it
-        the tape, lasts one step. A caller that ignores the return value
-        keeps the parameters bound until they are next watched.
+        The leaves share their arrays with this model's tensors, so an
+        optimizer step on them updates this model in place; frozen entries
+        are this model's own tensors. No tensor of this model is bound to
+        ``tape``, so the tape dies with the returned model.
         """
-        watched = [t for _, t in trainable_parameters(self)]
-        for t in watched:
-            tape.watch(t)
-        scope = contextlib.ExitStack()
-        scope.callback(_unwatch, watched)
-        return scope
-
-
-def _unwatch(tensors) -> None:
-    for t in tensors:
-        t.tape = None
-        t.node_id = None
+        params = dict(self.params)
+        for name, t in trainable_parameters(self):
+            params[name] = leaf = Tensor(t.data)
+            tape.watch(leaf)
+        return Model(self.config, self.class_names, params, self.trainable)
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:

@@ -32,9 +32,8 @@ class Tensor:
     ``data`` is row-major (batch, height, width, channel). Tensors are
     value-immutable once created; only the optimizer mutates parameter
     data, under exclusive ownership. ``tape``/``node_id`` tie a tensor to
-    the tape that recorded it; a persistent parameter is bound only while
-    it is watched, for the scope given by ``Model.watch_trainable``, and
-    is untracked (both ``None``) outside it.
+    the tape that recorded it. A model's own parameters are never tied:
+    ``Model.watch_trainable`` watches fresh leaves sharing their data.
     """
 
     __slots__ = ("data", "tape", "node_id")
@@ -102,9 +101,9 @@ class Tape:
     Node ids are assigned in creation order, so every operand id is
     smaller than its consumer's id and a single reverse sweep visits
     each node exactly once. A tape is owned by one forward/backward
-    pass: training watches the parameters on a fresh tape for one step
-    and unbinds them when the step ends, so nothing recorded later lands
-    on it and it is freed with the step's locals.
+    pass: a training step watches fresh leaves over the parameters'
+    arrays, so only the step's locals refer to its tape, and nothing
+    recorded later lands on it.
     """
 
     __slots__ = ("nodes",)

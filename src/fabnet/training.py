@@ -147,13 +147,14 @@ class SplitData:
 
 
 def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
-    """Untracked loss and prediction sweep, in fixed order."""
+    """Untracked loss and prediction sweep in fixed order; overflow raises."""
     total_loss = 0.0
     preds = np.empty(len(y), dtype=np.int64)
     for start in range(0, len(y), _SWEEP_BATCH):
         xb = model_input(x[start:start + _SWEEP_BATCH])
         yb = y[start:start + _SWEEP_BATCH]
-        logits = model_forward(model, Tensor(xb))
+        with np.errstate(over="raise", invalid="raise"):
+            logits = model_forward(model, Tensor(xb))
         total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
         preds[start:start + len(yb)] = np.argmax(
             logits.data.reshape(len(yb), -1), axis=1)
@@ -167,32 +168,32 @@ def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
 
     The batch is rows ``batch`` of ``x`` and ``y``, all rows by default.
     The step gathers and scales it inside the forward call, so no frame
-    holds it once the forward pass returns, and binds the parameters to
-    its tape only while it runs, so its tape, logits, loss and gradients
-    die when it returns.
+    holds it once the forward pass returns. Its tape watches leaves that
+    share ``model``'s arrays, so Adam updates ``model``, and the tape,
+    logits, loss and gradients die when the step returns.
     """
     yb = y[batch]
     tape = Tape()
-    with model.watch_trainable(tape):
-        logits = model_forward(model, Tensor(model_input(x[batch])))
-        loss = softmax_cross_entropy(logits, yb)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}, "
-                                  f"batch {batch_no}")
-        correct = int(np.sum(np.argmax(
-            logits.data.reshape(len(yb), -1), axis=1) == yb))
-        trainable = trainable_parameters(model)
-        if trainable:
-            grad_map = tape_backward(tape, loss)
-            grads = {name: grad_map[tensor.node_id].data
-                     for name, tensor in trainable}
-            adam_step(trainable, grads, state, cfg.learning_rate)
-            for name, tensor in trainable:
-                if not np.isfinite(tensor.data).all():
-                    raise DivergenceError(
-                        f"non-finite parameter {name} at epoch {epoch}, "
-                        f"batch {batch_no}")
+    watched = model.watch_trainable(tape)
+    logits = model_forward(watched, Tensor(model_input(x[batch])))
+    loss = softmax_cross_entropy(logits, yb)
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise DivergenceError(f"non-finite loss at epoch {epoch}, "
+                              f"batch {batch_no}")
+    correct = int(np.sum(np.argmax(
+        logits.data.reshape(len(yb), -1), axis=1) == yb))
+    trainable = trainable_parameters(watched)
+    if trainable:
+        grad_map = tape_backward(tape, loss)
+        grads = {name: grad_map[tensor.node_id].data
+                 for name, tensor in trainable}
+        adam_step(trainable, grads, state, cfg.learning_rate)
+        for name, tensor in trainable:
+            if not np.isfinite(tensor.data).all():
+                raise DivergenceError(
+                    f"non-finite parameter {name} at epoch {epoch}, "
+                    f"batch {batch_no}")
     return loss_value, correct
 
 
@@ -202,7 +203,7 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
     Each epoch consumes a fresh seeded shuffle of the training set, and
     the held-out test split is scored after every epoch for the curve;
     the last epoch's predictions stay on ``curve.val_preds``. A non-finite
-    loss or parameter aborts with epoch/batch context.
+    loss or parameter, or an overflowing held-out sweep, aborts with context.
     """
     if cfg.max_epochs < 1:
         raise ConfigError(f"max_epochs must be >= 1, got {cfg.max_epochs}")
@@ -214,9 +215,9 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
     state = AdamState()
     curve = EpochCurve()
     n_train = len(data.train_y)
-    # In a diverging run, overflow ends in a non-finite loss or parameter,
+    # In a diverging step, overflow ends in a non-finite loss or parameter,
     # which the DivergenceError checks name; numpy's warnings would only
-    # bury that one error line.
+    # bury that one error line. The held-out sweep raises on overflow.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             loss_sum = 0.0
@@ -229,8 +230,12 @@ def train(model: Model, data: SplitData, cfg: TrainConfig):
                                                epoch, batch_no, batch)
                 loss_sum += loss_value * len(batch)
                 correct += hits
-            val_loss, val_preds = _forward_dataset(model, data.test_x,
-                                                   data.test_y)
+            try:
+                val_loss, val_preds = _forward_dataset(model, data.test_x,
+                                                       data.test_y)
+            except FloatingPointError as exc:
+                raise DivergenceError(
+                    f"held-out sweep at epoch {epoch}: {exc}") from exc
             curve.records.append(EpochRecord(
                 epoch=epoch,
                 train_loss=loss_sum / n_train,
@@ -325,7 +330,7 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> MetricsReport:
     """Score a sample set; argmax ties resolve to the lowest class index.
 
     ``x`` is ``uint8`` decoder bytes or float model input, as in
-    ``SplitData``.
+    ``SplitData``. A forward pass that overflows raises FloatingPointError.
     """
     if len(y) < 1 or len(x) != len(y):
         raise ValueError(f"evaluate needs at least one sample and one id per "

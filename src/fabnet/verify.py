@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import FabParams, fab_forward, fab_init
-from .model import ConvBlockSpec, ModelConfig, build_model, conv2d, maxpool2x2, model_forward
+from .model import ConvBlockSpec, Model, ModelConfig, build_model, conv2d, maxpool2x2, model_forward
 from .tensor import Tensor, dense, ew_add, ew_mul, grad_check, mean_spatial, relu, sigmoid, sum_all
 from .training import softmax_cross_entropy
 
@@ -139,12 +139,9 @@ def _check_model_loss(rng):
     yield wrt_input, x
     for name in model.params:
         def wrt_param(leaf, _name=name):
-            original = model.params[_name]
-            model.params[_name] = leaf
-            try:
-                return softmax_cross_entropy(model_forward(model, x), labels)
-            finally:
-                model.params[_name] = original
+            swapped = Model(model.config, model.class_names,
+                            {**model.params, _name: leaf}, model.trainable)
+            return softmax_cross_entropy(model_forward(swapped, x), labels)
         yield wrt_param, model.params[name]
 
 

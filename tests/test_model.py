@@ -1,6 +1,5 @@
 """Backbone construction, conv/pool kernels, checkpoints, freezing."""
 
-import contextlib
 import gc
 import itertools
 import os
@@ -136,10 +135,10 @@ def _logits_and_grads(forward, m, x):
     tape = Tape()
     xt = Tensor(x)
     tape.watch(xt)
-    with m.watch_trainable(tape):
-        logits = forward(m, xt)
-        grads = backward(tape, softmax_cross_entropy(logits, [0, 1, 2, 0]))
-        by_name = {name: grads[t.node_id].data for name, t in m.params.items()}
+    w = m.watch_trainable(tape)
+    logits = forward(w, xt)
+    grads = backward(tape, softmax_cross_entropy(logits, [0, 1, 2, 0]))
+    by_name = {name: grads[t.node_id].data for name, t in w.params.items()}
     return logits.data, by_name, grads[xt.node_id].data
 
 
@@ -298,19 +297,18 @@ class TestChunkedForward:
         for forward in (model_forward, whole_batch_forward):
             tape = Tape()
             xt = Tensor(x)
-            with contextlib.ExitStack() as scope:
-                if watch == "input":
-                    tape.watch(xt)
-                    leaves = {"x": xt}
-                else:
-                    scope.enter_context(m.watch_trainable(tape))
-                    leaves = dict(m.params)
-                logits = forward(m, xt)
-                ops = [node.op for node in tape.nodes]
-                grads = backward(tape, softmax_cross_entropy(logits, labels))
-                runs.append((logits.data.tobytes(), ops,
-                             {name: grads[t.node_id].data.tobytes()
-                              for name, t in leaves.items()}))
+            if watch == "input":
+                tape.watch(xt)
+                w, leaves = m, {"x": xt}
+            else:
+                w = m.watch_trainable(tape)
+                leaves = dict(w.params)
+            logits = forward(w, xt)
+            ops = [node.op for node in tape.nodes]
+            grads = backward(tape, softmax_cross_entropy(logits, labels))
+            runs.append((logits.data.tobytes(), ops,
+                         {name: grads[t.node_id].data.tobytes()
+                          for name, t in leaves.items()}))
         (logits, ops, grads), (want_logits, want_ops, want_grads) = runs
         assert ops.count("conv2d") == 3
         assert ops == want_ops
@@ -339,12 +337,12 @@ def _watched_run(m, forward, x, labels):
     """Logits, observer names and trainable gradients, as bytes."""
     seen = []
     tape = Tape()
-    with m.watch_trainable(tape):
-        logits = forward(m, Tensor(x), lambda name, value: seen.append(name))
-        grads = backward(tape, softmax_cross_entropy(logits, labels))
-        return (logits.data.tobytes(), seen,
-                {name: grads[t.node_id].data.tobytes()
-                 for name, t in trainable_parameters(m)})
+    w = m.watch_trainable(tape)
+    logits = forward(w, Tensor(x), lambda name, value: seen.append(name))
+    grads = backward(tape, softmax_cross_entropy(logits, labels))
+    return (logits.data.tobytes(), seen,
+            {name: grads[t.node_id].data.tobytes()
+             for name, t in trainable_parameters(w)})
 
 
 class TestTail:
@@ -742,11 +740,11 @@ class TestFreezing:
         before = {name: t.data.copy() for name, t in m.params.items()}
 
         tape = Tape()
-        m.watch_trainable(tape)
+        w = m.watch_trainable(tape)
         x = Tensor(np.random.default_rng(16).uniform(0, 1, size=(4, 8, 8, 3)))
-        loss = softmax_cross_entropy(model_forward(m, x), [0, 1, 2, 0])
+        loss = softmax_cross_entropy(model_forward(w, x), [0, 1, 2, 0])
         grad_map = backward(tape, loss)
-        trainable = trainable_parameters(m)
+        trainable = trainable_parameters(w)
         grads = {name: grad_map[t.node_id].data for name, t in trainable}
         adam_step(trainable, grads, AdamState(), lr=1e-3)
 
@@ -755,6 +753,29 @@ class TestFreezing:
                 assert np.array_equal(t.data, before[name])
             else:
                 assert not np.array_equal(t.data, before[name])
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_watch_trainable_returns_fresh_leaves(self, freeze):
+        m = build_model(replace(TINY, freeze_backbone=freeze), seed=17)
+        before = {name: t.data.copy() for name, t in m.params.items()}
+        tape = Tape()
+        w = m.watch_trainable(tape)
+        assert all(t.tape is None and t.node_id is None
+                   for t in m.params.values())
+        assert list(w.params) == list(m.params)
+        for name, t in w.params.items():
+            if m.trainable[name]:
+                assert t is not m.params[name]
+                assert t.tape is tape and tape.nodes[t.node_id].op == "leaf"
+                assert t.data is m.params[name].data
+            else:
+                assert t is m.params[name]
+        trainable = trainable_parameters(w)
+        adam_step(trainable, {name: np.ones_like(t.data)
+                              for name, t in trainable}, AdamState(), lr=1e-3)
+        for name, t in m.params.items():
+            changed = not np.array_equal(t.data, before[name])
+            assert changed == m.trainable[name], name
 
 
 class TestBlockParsing:
@@ -788,9 +809,9 @@ class TestTapeLifetime:
         try:
             for _ in range(2):
                 tape = Tape()
-                m.watch_trainable(tape)
-                backward(tape, softmax_cross_entropy(model_forward(m, x), labels))
-            del tape
+                w = m.watch_trainable(tape)
+                backward(tape, softmax_cross_entropy(model_forward(w, x), labels))
+            del tape, w
             gc.collect()
             leaked = sum(isinstance(o, (Tape, _Node)) for o in gc.garbage[start:])
         finally:

@@ -180,6 +180,15 @@ class TestTrainLoop:
                 train(m, tiny_data(), TrainConfig(learning_rate=math.inf,
                                                   max_epochs=1, seed=3))
 
+    def test_overflowing_held_out_sweep_is_divergence(self):
+        # One step leaves finite weights whose held-out forward overflows;
+        # the sweep names it instead of recording a non-finite val_loss.
+        with pytest.raises(DivergenceError, match=re.escape(
+                "held-out sweep at epoch 1: overflow")):
+            train(build_model(TINY, 0), tiny_data(),
+                  TrainConfig(learning_rate=1e308, batch_size=16,
+                              max_epochs=1))
+
     def test_step_peak_memory(self):
         # One step on the default config (batch 16, 32x32) holds what its
         # backward still needs and nothing more: freed intermediate
@@ -422,6 +431,17 @@ class TestEvaluate:
             t.data[:] = 0.0   # all logits identical -> argmax picks class 0
         report = evaluate(m, np.zeros((3, 8, 8, 3)), np.array([0, 1, 2]))
         assert np.all(report.confusion[:, 0] == 1)
+
+    def test_overflowing_forward_raises(self):
+        # Finite weights whose forward overflows: ReLU maps the NaNs of
+        # inf - inf to 0.0, so without the check the scores look sound.
+        m = build_model(ModelConfig(), seed=7)
+        for name, t in m.params.items():
+            if name.endswith(".conv.weight"):
+                t.data *= 1e200
+        x = np.random.default_rng(8).uniform(0, 1, (20, 32, 32, 3))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(m, x, np.arange(20) % 5)
 
 
 class TestAblation:
