@@ -6,37 +6,19 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import (SplitSpec, decode_image, load_manifest, load_pixels,
-                   preprocess, stratified_split, synth_generate)
+from .data import (decode_image, load_manifest, load_pixels, preprocess,
+                   stratified_split, synth_generate)
 from .errors import ConfigError, FabnetError, FormatError, decode_utf8
 from .model import (ModelConfig, build_model, load_checkpoint, model_forward,
                     parse_blocks, parse_bool, read_settings, save_checkpoint)
 from .training import (SplitData, TrainConfig, evaluate,
                        metrics_from_predictions, softmax_probabilities, train)
 from .verify import run_suite
-
-_MODEL, _TRAIN = ModelConfig(), TrainConfig()
-
-
-@dataclass
-class RunConfig:
-    """Flat key=value settings with the library's defaults; flags override them."""
-
-    learning_rate: float = _TRAIN.learning_rate
-    batch_size: int = _TRAIN.batch_size
-    max_epochs: int = _TRAIN.max_epochs
-    image_size: int = _MODEL.input_size[0]
-    fab_ratio: int = _MODEL.fab_ratio
-    use_fab: bool = _MODEL.use_fab
-    freeze_backbone: bool = _MODEL.freeze_backbone
-    head_hidden: int = _MODEL.head_hidden
-    blocks: tuple = _MODEL.blocks
-    seed: int = _TRAIN.seed
 
 
 def _learning_rate(text) -> float:
@@ -67,14 +49,18 @@ _RUN_PARSERS = {
 }
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse a flat key=value file with '#' comments; unknown or repeated keys fail."""
+def load_run_config(path) -> dict:
+    """Parse a flat key=value file with '#' comments; unknown or repeated keys fail.
+
+    Returns only the settings the file sets; every default is
+    ``TrainConfig``'s or ``ModelConfig``'s.
+    """
     text = decode_utf8(Path(path).read_bytes(), f"config file {path}", ConfigError)
     # Drop comments and the padding around each line and its first '='.
     lines = [re.sub(r"\s*=\s*", "=", line.split("#", 1)[0].strip(), count=1)
              for line in text.splitlines()]
     try:
-        return RunConfig(**read_settings(lines, _RUN_PARSERS, "config"))
+        return read_settings(lines, _RUN_PARSERS, "config")
     except ConfigError as exc:
         raise ConfigError(f"{path}:{exc}") from exc
 
@@ -92,30 +78,28 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = load_run_config(args.config) if args.config else RunConfig()
+    settings = load_run_config(args.config) if args.config else {}
     if args.no_fab:
-        run.use_fab = False
+        settings["use_fab"] = False
     if args.freeze_backbone:
-        run.freeze_backbone = True
+        settings["freeze_backbone"] = True
     if args.seed is not None:
-        run.seed = _RUN_PARSERS["seed"](args.seed)
+        settings["seed"] = _int_at_least("--seed", 0)(args.seed)
+    training = TrainConfig(**{f.name: settings.pop(f.name)
+                              for f in fields(TrainConfig) if f.name in settings})
+    side = settings.pop("image_size", ModelConfig.input_size[0])
+    size = (side, side)
 
     manifest = load_manifest(args.data)
-    split = SplitSpec(seed=run.seed)
-    train_idx, test_idx = stratified_split(manifest, split)
-    size = (run.image_size, run.image_size)
+    train_idx, test_idx = stratified_split(manifest, training.seed)
     # The model checks the config before any image array is sized from it.
     model = build_model(
-        ModelConfig(input_size=size, blocks=run.blocks, use_fab=run.use_fab,
-                    fab_ratio=run.fab_ratio, head_hidden=run.head_hidden,
-                    num_classes=len(manifest.class_names),
-                    freeze_backbone=run.freeze_backbone),
-        run.seed, class_names=manifest.class_names)
+        ModelConfig(input_size=size, num_classes=len(manifest.class_names),
+                    **settings),
+        training.seed, class_names=manifest.class_names)
     data = SplitData(*load_pixels(manifest, train_idx, size),
                      *load_pixels(manifest, test_idx, size))
-    model, curve = train(model, data, TrainConfig(
-        learning_rate=run.learning_rate, batch_size=run.batch_size,
-        max_epochs=run.max_epochs, seed=run.seed))
+    model, curve = train(model, data, training)
     report = metrics_from_predictions(data.test_y, curve.val_preds,
                                       model.class_names)
 

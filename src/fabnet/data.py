@@ -36,11 +36,6 @@ class DatasetManifest:
         return p if p.is_absolute() else self.base_dir / p
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    seed: int = 0
-
-
 def load_manifest(path) -> DatasetManifest:
     """Read a ``path,label`` CSV; ids are assigned by sorted label order."""
     path = Path(path)
@@ -60,9 +55,16 @@ def load_manifest(path) -> DatasetManifest:
         img_path, label = img_path.strip(), label.strip()
         if not img_path or not label:
             raise ManifestError(f"line {lineno}: empty path or label")
-        if img_path in seen:
+        # One file has one key however it is spelled, as test_split.csv
+        # writes it; a path the OS cannot resolve (a NUL byte, a symlink
+        # loop) keys on its text, and decode_image reports it.
+        try:
+            key = (path.parent / img_path).resolve()
+        except (ValueError, RuntimeError):
+            key = img_path
+        if key in seen:
             raise ManifestError(f"line {lineno}: duplicate path {img_path!r}")
-        seen.add(img_path)
+        seen.add(key)
         entries.append((img_path, label))
     if not entries:
         raise ManifestError("manifest has no entries")
@@ -191,7 +193,7 @@ def preprocess(raw: np.ndarray, target) -> Tensor:
     return Tensor(pixels.reshape(1, h, w, 3))
 
 
-def stratified_split(manifest: DatasetManifest, spec: SplitSpec):
+def stratified_split(manifest: DatasetManifest, seed: int):
     """Per-class round(0.2 * n) holdout (minimum 1), seeded per class.
 
     Returns sorted (train_indices, test_indices); together they cover
@@ -200,7 +202,7 @@ def stratified_split(manifest: DatasetManifest, spec: SplitSpec):
     by_class: dict = {name: [] for name in manifest.class_names}
     for i, (_, label) in enumerate(manifest.entries):
         by_class[label].append(i)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     test = []
     for name in manifest.class_names:
         members = np.array(by_class[name])

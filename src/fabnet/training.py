@@ -184,6 +184,7 @@ def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
     correct = int(np.sum(np.argmax(
         logits.data.reshape(len(yb), -1), axis=1) == yb))
     trainable = trainable_parameters(watched)
+    # With every entry frozen the loss is on no tape: backward would raise.
     if trainable:
         grad_map = tape_backward(tape, loss)
         grads = {name: grad_map[tensor.node_id].data

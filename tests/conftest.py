@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fabnet.data import SplitSpec, load_manifest, load_samples, stratified_split, synth_generate
+from fabnet.data import load_manifest, load_samples, stratified_split, synth_generate
 from fabnet.training import SplitData
 
 
@@ -16,6 +16,6 @@ def small_dataset(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def small_split(small_dataset):
-    train_idx, test_idx = stratified_split(small_dataset, SplitSpec(seed=5))
+    train_idx, test_idx = stratified_split(small_dataset, 5)
     return SplitData(*load_samples(small_dataset, train_idx, (16, 16)),
                      *load_samples(small_dataset, test_idx, (16, 16)))

@@ -12,8 +12,8 @@ import pytest
 
 from fabnet.attention import fab_forward, fab_init
 from fabnet.cli import main
-from fabnet.data import (DatasetManifest, SplitSpec, load_manifest,
-                         load_samples, stratified_split, synth_generate)
+from fabnet.data import (DatasetManifest, load_manifest, load_samples,
+                         stratified_split, synth_generate)
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model, conv2d,
                           load_checkpoint, save_checkpoint)
 from fabnet.tensor import Tensor
@@ -41,7 +41,7 @@ def make_split(tmp, classes, per_class, size, seed):
     manifest_path = synth_generate(tmp, classes=classes, per_class=per_class,
                                    size=size, seed=seed)
     manifest = load_manifest(manifest_path)
-    tr, te = stratified_split(manifest, SplitSpec(seed=seed))
+    tr, te = stratified_split(manifest, seed)
     return manifest, SplitData(*load_samples(manifest, tr, size),
                                *load_samples(manifest, te, size))
 
@@ -154,7 +154,7 @@ def test_criterion_4_protocol_fidelity(tmp_path):
     manifest = DatasetManifest(entries=entries,
                                class_names=tuple(sorted(counts)),
                                base_dir=tmp_path)
-    _, test_idx = stratified_split(manifest, SplitSpec(seed=0))
+    _, test_idx = stratified_split(manifest, 0)
     split_ok = len(entries) == 6034 and len(test_idx) == 1207
 
     rng = np.random.default_rng(3)

@@ -6,17 +6,17 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fabnet.cli
-from fabnet.cli import (COMMANDS, RunConfig, build_parser, load_run_config,
-                        main)
+from fabnet.cli import COMMANDS, build_parser, load_run_config, main
 from fabnet.errors import ConfigError
-from fabnet.model import (ModelConfig, build_model, load_checkpoint,
-                          save_checkpoint)
+from fabnet.model import (ConvBlockSpec, ModelConfig, build_model,
+                          load_checkpoint, save_checkpoint)
 from fabnet.tensor import backward_fault
 from fabnet.training import TrainConfig
 from fabnet.verify import run_suite
@@ -50,20 +50,16 @@ def cli_workspace(tmp_path_factory):
 
 class TestRunConfig:
     def test_defaults_follow_training_protocol(self):
-        run = RunConfig()
-        assert run.learning_rate == 1e-4
-        assert run.batch_size == 16
-        assert run.max_epochs == 40
         cfg = TrainConfig()
         assert (cfg.learning_rate, cfg.batch_size, cfg.max_epochs) == (1e-4, 16, 40)
 
     def test_file_parsing_with_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("learning_rate=0.01  # fast\n\nbatch_size=4\n")
-        run = load_run_config(path)
-        assert run.learning_rate == 0.01
-        assert run.batch_size == 4
-        assert run.max_epochs == 40   # untouched default
+        settings = load_run_config(path)
+        assert settings["learning_rate"] == 0.01
+        assert settings["batch_size"] == 4
+        assert "max_epochs" not in settings   # untouched default
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -84,18 +80,55 @@ class TestRunConfig:
             load_run_config(path)
         assert str(exc.value).startswith(f"{path}:2:")
 
-    def test_defaults_are_the_library_defaults(self):
-        run, model, training = RunConfig(), ModelConfig(), TrainConfig()
-        assert run.learning_rate == training.learning_rate
-        assert run.batch_size == training.batch_size
-        assert run.max_epochs == training.max_epochs
-        assert run.seed == training.seed
-        assert run.image_size == model.input_size[0] == model.input_size[1]
-        assert run.fab_ratio == model.fab_ratio
-        assert run.use_fab == model.use_fab
-        assert run.freeze_backbone == model.freeze_backbone
-        assert run.head_hidden == model.head_hidden
-        assert run.blocks == model.blocks
+    def test_defaults_are_the_library_defaults(self, cli_workspace, tmp_path,
+                                               monkeypatch):
+        # train stops at the training loop, having built its two configs.
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def capture_model(cfg, seed, class_names):
+            seen.update(model=cfg, seed=seed)
+
+        def capture_training(model, data, cfg):
+            seen["training"] = cfg
+            raise Stop
+
+        monkeypatch.setattr(fabnet.cli, "build_model", capture_model)
+        monkeypatch.setattr(fabnet.cli, "train", capture_training)
+
+        def configs(config_text, flags=()):
+            argv = ["train", "--data", str(cli_workspace / "ds" / "manifest.csv"),
+                    "--out", str(tmp_path / "run"), *flags]
+            if config_text is not None:
+                (tmp_path / "c.cfg").write_text(config_text)
+                argv += ["--config", str(tmp_path / "c.cfg")]
+            seen.clear()
+            with pytest.raises(Stop):
+                main(argv)
+            return seen["model"], seen["training"], seen["seed"]
+
+        defaults = (ModelConfig(num_classes=3), TrainConfig(), 0)
+        assert configs(None) == defaults
+        assert configs("") == defaults
+        every_key = ("learning_rate=0.003\nbatch_size=5\nmax_epochs=2\n"
+                     "image_size=24\nfab_ratio=4\nuse_fab=false\n"
+                     "freeze_backbone=true\nhead_hidden=12\n"
+                     "blocks=8:pool,16\nseed=9\n")
+        model = ModelConfig(input_size=(24, 24),
+                            blocks=(ConvBlockSpec(8), ConvBlockSpec(16, False)),
+                            use_fab=False, fab_ratio=4, head_hidden=12,
+                            num_classes=3, freeze_backbone=True)
+        training = TrainConfig(learning_rate=0.003, batch_size=5,
+                               max_epochs=2, seed=9)
+        assert configs(every_key) == (model, training, 9)
+        # The flags override the file.
+        every_key = every_key.replace("use_fab=false", "use_fab=true").replace(
+            "freeze_backbone=true", "freeze_backbone=false")
+        assert configs(every_key, ["--no-fab", "--freeze-backbone",
+                                   "--seed", "4"]) == (
+            model, replace(training, seed=4), 4)
 
 
 class TestSynth:
@@ -497,3 +530,18 @@ class TestBadInput:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_names_its_source(self, cli_workspace, tmp_path,
+                                            capsys):
+        # The flag is named as synth's and gradcheck's are; a config line
+        # by its file and line number.
+        argv = ["train", "--data", str(cli_workspace / "ds" / "manifest.csv"),
+                "--out", str(tmp_path / "run")]
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed=-1\n")
+        for extra, message in (
+                (["--seed", "-1"], "--seed must be >= 0, got -1"),
+                (["--config", str(config)],
+                 f"{config}:1: invalid config: seed must be >= 0, got -1")):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"

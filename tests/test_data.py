@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fabnet.data import (DatasetManifest, SplitSpec, batch_iterator,
-                         bilinear_resize, decode_image, load_manifest,
-                         load_pixels, load_samples, model_input, preprocess,
+from fabnet.data import (DatasetManifest, batch_iterator, bilinear_resize,
+                         decode_image, load_manifest, load_pixels,
+                         load_samples, model_input, preprocess,
                          stratified_split, synth_generate, write_ppm)
 from fabnet.errors import ImageFormatError, ManifestError, SplitError
 from oracles import bilinear_resize_oracle
@@ -27,9 +27,20 @@ class TestManifest:
         assert m.class_ids == {"cat": 0, "dog": 1}
 
     def test_duplicate_path(self, tmp_path):
-        with pytest.raises(ManifestError):
-            load_manifest(write_manifest(tmp_path / "m.csv",
-                                         [("a.ppm", "cat"), ("a.ppm", "dog")]))
+        # The same file spelled three ways: as written, from "./", absolute.
+        for again in ("a.ppm", "./a.ppm", str(tmp_path / "a.ppm")):
+            with pytest.raises(ManifestError, match="line 3: duplicate path"):
+                load_manifest(write_manifest(tmp_path / "m.csv",
+                                             [("a.ppm", "cat"), (again, "dog")]))
+
+    def test_unresolvable_path_is_left_to_the_decoder(self, tmp_path):
+        # Python 3.10 and 3.11 raise RuntimeError resolving a symlink loop.
+        (tmp_path / "loop").symlink_to("loop")
+        m = load_manifest(write_manifest(tmp_path / "m.csv",
+                                         [("loop", "cat"), ("a.ppm", "dog")]))
+        assert m.entries[0] == ("loop", "cat")
+        with pytest.raises(ImageFormatError, match="cannot read image"):
+            load_pixels(m, [0], (2, 2))
 
     def test_severity_label_order(self, tmp_path):
         rows = [(f"img{i}.ppm", label)
@@ -159,7 +170,7 @@ class TestStratifiedSplit:
 
     def test_exact_proportion(self):
         m = self.make_manifest({"a": 10, "b": 10})
-        train, test = stratified_split(m, SplitSpec(seed=0))
+        train, test = stratified_split(m, 0)
         labels = [m.entries[i][1] for i in test]
         assert len(test) == 4
         assert labels.count("a") == 2
@@ -167,21 +178,21 @@ class TestStratifiedSplit:
 
     def test_seed_determinism(self):
         m = self.make_manifest({"a": 17, "b": 23, "c": 9})
-        first = stratified_split(m, SplitSpec(seed=42))
-        second = stratified_split(m, SplitSpec(seed=42))
+        first = stratified_split(m, 42)
+        second = stratified_split(m, 42)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
     def test_retina_table_counts(self):
         m = self.make_manifest(TABLE_COUNTS)
         assert len(m.entries) == 6034
-        _, test = stratified_split(m, SplitSpec(seed=1))
+        _, test = stratified_split(m, 1)
         assert len(test) == 1207   # 325 + 200 + 361 + 154 + 167
 
     def test_singleton_class_rejected(self):
         m = self.make_manifest({"a": 5, "b": 1})
         with pytest.raises(SplitError):
-            stratified_split(m, SplitSpec(seed=0))
+            stratified_split(m, 0)
 
     def test_disjoint_exhaustive_and_proportional(self):
         rng = np.random.default_rng(2)
@@ -189,7 +200,7 @@ class TestStratifiedSplit:
             counts = {f"c{i}": int(rng.integers(2, 40))
                       for i in range(int(rng.integers(2, 6)))}
             m = self.make_manifest(counts)
-            train, test = stratified_split(m, SplitSpec(seed=trial))
+            train, test = stratified_split(m, trial)
             assert set(train) | set(test) == set(range(len(m.entries)))
             assert not set(train) & set(test)
             for label, n in counts.items():
@@ -228,7 +239,7 @@ class TestSynth:
         m = load_manifest(manifest_path)
         assert len(m.entries) == 40
         assert len(m.class_names) == 5
-        train, test = stratified_split(m, SplitSpec(seed=0))
+        train, test = stratified_split(m, 0)
         assert len(train) + len(test) == 40
         x, y = load_samples(m, test, (8, 8))
         assert x.shape == (len(test), 8, 8, 3)

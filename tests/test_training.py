@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fabnet.training
-from fabnet.data import SplitSpec, load_manifest, load_samples, stratified_split, synth_generate
+from fabnet.data import load_manifest, load_samples, stratified_split, synth_generate
 from fabnet.model import save_checkpoint
 from fabnet.errors import ConfigError, DivergenceError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model,
@@ -318,7 +318,7 @@ class TestTrainLoop:
         manifest_path = synth_generate(tmp_path / "ds", classes=3,
                                        per_class=40, size=(32, 32), seed=21)
         manifest = load_manifest(manifest_path)
-        tr, te = stratified_split(manifest, SplitSpec(seed=21))
+        tr, te = stratified_split(manifest, 21)
         data = SplitData(*load_samples(manifest, tr, (32, 32)),
                          *load_samples(manifest, te, (32, 32)))
         m = build_model(ModelConfig(num_classes=3), seed=21,
