@@ -96,6 +96,6 @@ def fab_forward(x: Tensor, p: FabParams) -> FabActivations:
 
 def fab_gate_stats(acts: FabActivations) -> GateStats:
     """Summarize the gate per channel across the batch."""
-    g = acts.gate.data.reshape(acts.gate.shape.batch, -1)
+    g = acts.gate.data.reshape(acts.gate.shape[0], -1)
     return GateStats(minimum=g.min(axis=0), mean=g.mean(axis=0),
                      maximum=g.max(axis=0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import fields
@@ -65,6 +66,16 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"{path}:{exc}") from exc
 
 
+def _out_dir(flag: str, path) -> Path:
+    """``path``, failing now unless it or its nearest existing ancestor is a
+    directory, so ``mkdir`` after the work cannot meet a file in the way."""
+    out = Path(path)
+    found = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not found.is_dir():
+        raise ConfigError(f"{flag} {path}: {found} is not a directory")
+    return out
+
+
 def cmd_synth(args) -> int:
     for flag, value, least in (("--classes", args.classes, 2),
                                ("--per-class", args.per_class, 1),
@@ -78,6 +89,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out = _out_dir("--out", args.out)
     settings = load_run_config(args.config) if args.config else {}
     if args.no_fab:
         settings["use_fab"] = False
@@ -103,7 +115,6 @@ def cmd_train(args) -> int:
     report = metrics_from_predictions(data.test_y, curve.val_preds,
                                       model.class_names)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.fabn")
     (out / "curves.csv").write_text(curve.to_csv())
@@ -128,6 +139,7 @@ def _checked(checkpoint, forward, *args):
 
 
 def cmd_eval(args) -> int:
+    out = _out_dir("--report", args.report)
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.data)
     if list(manifest.class_names) != model.class_names:
@@ -137,7 +149,6 @@ def cmd_eval(args) -> int:
     indices = np.arange(len(manifest.entries))
     x, y = load_pixels(manifest, indices, model.config.input_size)
     report = _checked(args.checkpoint, evaluate, model, x, y)
-    out = Path(args.report)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(report.to_csv())
     (out / "confusion.csv").write_text(report.confusion_csv())

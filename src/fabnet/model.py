@@ -253,7 +253,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: kernel extent must be odd, got {kh}x{kw}")
     if bias.shape != (1, 1, 1, cout):
-        raise ShapeError(f"conv2d: bias {tuple(bias.shape)} does not match "
+        raise ShapeError(f"conv2d: bias {bias.shape} does not match "
                          f"{cout} output channels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     # Zero border, interior copied in: the bytes of np.pad at lower cost.
@@ -399,7 +399,7 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     """
     n, h, w, c = x.shape
     if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
-        raise ShapeError(f"input {tuple(x.shape)} does not match configured "
+        raise ShapeError(f"input {x.shape} does not match configured "
                          f"size {m.config.input_size} x {m.config.in_channels}")
     chunk = _chunk_images(m.config)
     if (observe is None and n > chunk
@@ -524,8 +524,9 @@ def save_checkpoint(m: Model, path) -> None:
     """Write the model as little-endian binary; round trips are bit-exact.
 
     The bytes go to a temporary file next to ``path`` that replaces it
-    only once complete, so a failed write leaves any previous checkpoint
-    as it was and no partial file behind.
+    only once complete and synced, so a failed write leaves any previous
+    checkpoint as it was and no partial file behind; the directory is
+    synced after the rename, so the new entry survives a crash too.
     """
     text = _config_text(m.config, m.class_names).encode("utf-8")
     path = os.fspath(path)
@@ -542,11 +543,18 @@ def save_checkpoint(m: Model, path) -> None:
                 fh.write(nb)
                 fh.write(struct.pack("<4Q", *t.shape))
                 fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path) -> Model:
@@ -557,13 +565,15 @@ def load_checkpoint(path) -> Model:
     is held. Each read is checked against the file's size before anything
     is read or allocated, so a declared length cannot ask for more than
     the file holds. A file whose size is unknown up front (a pipe) is
-    read whole first.
+    read whole first, once its first four bytes are the magic.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
             return _read_checkpoint(fh, info.st_size)
-        blob = fh.read()
+        blob = fh.read(4)
+        if blob == CHECKPOINT_MAGIC:
+            blob += fh.read()
     return _read_checkpoint(io.BytesIO(blob), len(blob))
 
 

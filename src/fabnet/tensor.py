@@ -8,22 +8,12 @@ operands, holding just enough state to produce exact gradients when
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import GraphError, ShapeError
-
-
-class Shape4(NamedTuple):
-    """Extents of a rank-4 tensor in (batch, height, width, channel) order."""
-
-    batch: int
-    height: int
-    width: int
-    channels: int
 
 
 class Tensor:
@@ -47,9 +37,8 @@ class Tensor:
         self.node_id = node_id
 
     @property
-    def shape(self) -> Shape4:
-        # tuple.__new__ skips the NamedTuple constructor's argument parsing.
-        return tuple.__new__(Shape4, self.data.shape)
+    def shape(self) -> tuple:
+        return self.data.shape
 
     @property
     def values(self) -> np.ndarray:
@@ -67,26 +56,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         track = f", node_id={self.node_id}" if self.tracked else ""
-        return f"Tensor(shape={tuple(self.shape)}{track})"
-
-
-# Test hook: op name -> scale factor applied to that op's parent gradients.
-# Lets tests show that the gradient check catches a wrong backward rule.
-_BACKWARD_FAULTS: dict = {}
-
-
-@contextlib.contextmanager
-def backward_fault(op: str, scale: float = 2.0):
-    """Deliberately corrupt the backward rule of ``op`` while active.
-
-    ``backward`` scales the parent gradients of each ``op`` rule it runs
-    meanwhile, whenever the rule was recorded.
-    """
-    _BACKWARD_FAULTS[op] = scale
-    try:
-        yield
-    finally:
-        _BACKWARD_FAULTS.pop(op, None)
+        return f"Tensor(shape={self.shape}{track})"
 
 
 class _Node(NamedTuple):
@@ -129,15 +99,15 @@ def tensor_new(shape, values, track: bool = False,
     With ``track=True`` the tensor is registered as a leaf on ``tape``
     and will receive a gradient from ``backward``.
     """
+    shape = tuple(shape)
     if len(shape) != 4:
-        raise ShapeError(f"shape must have 4 extents, got {tuple(shape)}")
-    shape = Shape4(*shape)
+        raise ShapeError(f"shape must have 4 extents, got {shape}")
     if min(shape) < 1:
-        raise ShapeError(f"all extents must be >= 1, got {tuple(shape)}")
+        raise ShapeError(f"all extents must be >= 1, got {shape}")
     data = np.asarray(values, dtype=np.float64).reshape(-1)
     if data.size != math.prod(shape):
         raise ShapeError(
-            f"got {data.size} values for shape {tuple(shape)} "
+            f"got {data.size} values for shape {shape} "
             f"({math.prod(shape)} elements)")
     if not np.all(np.isfinite(data)):
         raise ValueError("tensor values must be finite")
@@ -168,7 +138,7 @@ def _emit(op: str, operands: Sequence[Tensor], data: np.ndarray,
 def ew_add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; gradients pass through unchanged to both operands."""
     if a.shape != b.shape:
-        raise ShapeError(f"ew_add: shapes {tuple(a.shape)} and {tuple(b.shape)} differ")
+        raise ShapeError(f"ew_add: shapes {a.shape} and {b.shape} differ")
     return _emit("ew_add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
@@ -181,7 +151,7 @@ def ew_mul(a: Tensor, b: Tensor) -> Tensor:
     """
     gate = a.shape != b.shape
     if gate and b.shape != (a.shape[0], 1, 1, a.shape[3]):
-        raise ShapeError(f"ew_mul: shapes {tuple(a.shape)} and {tuple(b.shape)} "
+        raise ShapeError(f"ew_mul: shapes {a.shape} and {b.shape} "
                          "are neither equal nor (batch,1,1,channels) gate-compatible")
     # The rule closes over the arrays, not the tensors: a tensor points
     # at its tape, and tape -> node -> rule -> tensor -> tape would be a
@@ -199,7 +169,7 @@ def mean_spatial(x: Tensor) -> Tensor:
     """Per-channel mean over the spatial extent: (N,H,W,C) -> (N,1,1,C)."""
     _, h, w, _ = x.shape
     out = x.data.mean(axis=(1, 2), keepdims=True)
-    shape = tuple(x.shape)
+    shape = x.shape
 
     def back(g):
         return (np.broadcast_to(g / (h * w), shape).copy(),)
@@ -259,7 +229,7 @@ def sigmoid(x: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements as a (1,1,1,1) scalar tensor."""
     out = np.array(x.data.sum(), dtype=np.float64).reshape(1, 1, 1, 1)
-    shape = tuple(x.shape)
+    shape = x.shape
 
     def back(g):
         return (np.full(shape, g.reshape(-1)[0]),)
@@ -281,7 +251,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     if not isinstance(loss, Tensor) or loss.tape is not tape or not loss.tracked:
         raise GraphError("loss tensor was not recorded on this tape")
     if loss.data.size != 1:
-        raise ShapeError(f"loss must be scalar, got shape {tuple(loss.shape)}")
+        raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
     grads: dict = {loss.node_id: np.ones((1, 1, 1, 1))}
     for nid in range(loss.node_id, -1, -1):
@@ -289,8 +259,6 @@ def backward(tape: Tape, loss: Tensor) -> dict:
         if node.backward is None or nid not in grads:
             continue
         pgs = node.backward(grads.pop(nid))
-        if node.op in _BACKWARD_FAULTS:
-            pgs = [pg if pg is None else pg * _BACKWARD_FAULTS[node.op] for pg in pgs]
         for pid, pg in zip(node.parents, pgs):
             if pid is None or pg is None:
                 continue

@@ -44,7 +44,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """
     n, h, w, k = logits.shape
     if (h, w) != (1, 1):
-        raise ShapeError(f"logits must be (N,1,1,K), got {tuple(logits.shape)}")
+        raise ShapeError(f"logits must be (N,1,1,K), got {logits.shape}")
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")

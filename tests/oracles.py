@@ -7,9 +7,11 @@ beyond raw numpy arrays in and out. Three are not loops:
 the model's ops and the batch they run on rather than the ops themselves,
 so they compose the package's own differentiable ops;
 ``conv2d_im2col_reference`` pins the bytes of one whole-batch im2col
-matmul, so it spells out that arithmetic in numpy.
+matmul, so it spells out that arithmetic in numpy. ``backward_fault``
+is no oracle: it plants a wrong backward rule, to show the checks catch it.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -17,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from fabnet.attention import fab_forward
 from fabnet.model import conv2d, maxpool2x2
-from fabnet.tensor import dense, mean_spatial, relu
+from fabnet.tensor import Tape, dense, mean_spatial, relu
 
 
 def mean_spatial_oracle(x: np.ndarray) -> np.ndarray:
@@ -239,3 +241,25 @@ def whole_batch_forward(m, x):
     t = relu(dense(mean_spatial(t), m.params["head.hidden.weight"],
                    m.params["head.hidden.bias"]))
     return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])
+
+
+@contextlib.contextmanager
+def backward_fault(op: str, scale: float = 2.0):
+    """Scale the parent gradients of every ``op`` rule recorded meanwhile.
+
+    The rule stays scaled wherever ``backward`` runs it, inside the
+    ``with`` block or after it.
+    """
+    record = Tape.record
+
+    def faulty(tape, name, parents, rule):
+        if name != op:
+            return record(tape, name, parents, rule)
+        return record(tape, name, parents, lambda g: tuple(
+            pg if pg is None else pg * scale for pg in rule(g)))
+
+    Tape.record = faulty
+    try:
+        yield
+    finally:
+        Tape.record = record

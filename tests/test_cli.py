@@ -17,10 +17,10 @@ from fabnet.cli import COMMANDS, build_parser, load_run_config, main
 from fabnet.errors import ConfigError
 from fabnet.model import (ConvBlockSpec, ModelConfig, build_model,
                           load_checkpoint, save_checkpoint)
-from fabnet.tensor import backward_fault
 from fabnet.training import TrainConfig
 from fabnet.verify import run_suite
 from checkpoint_faults import CHECKPOINT_FAULTS, split_records
+from oracles import backward_fault
 
 SMALL_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -46,6 +46,23 @@ def cli_workspace(tmp_path_factory):
                  "--data", str(root / "ds" / "manifest.csv"),
                  "--out", str(root / "run")]) == 0
     return root
+
+
+def failed_run(argv, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh ``fabnet`` process, which must exit 1 with one ``error:`` line.
+
+    A fresh process runs the real entry point, so an escaping exception
+    would show up as a traceback on stderr and a different exit code.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fabnet.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fabnet.cli"] + argv,
+                          capture_output=True, text=True, env=env, **kwargs)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return proc
 
 
 class TestRunConfig:
@@ -327,6 +344,20 @@ class TestPredict:
                      "--image", str(gray)]) == 0
         assert "prediction: " in capsys.readouterr().out
 
+    def test_stream_without_magic_fails_before_its_end(self, cli_workspace):
+        # The pipe stays open, so a loader reading to EOF would block.
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, bytes(4096))
+            proc = failed_run(
+                ["predict", "--checkpoint", f"/dev/fd/{read_end}",
+                 "--image", str(min((cli_workspace / "ds").glob("*.ppm")))],
+                pass_fds=(read_end,), timeout=30)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert proc.stderr == "error: bad checkpoint magic\n"
+
     def test_undecodable_image_fails(self, cli_workspace, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"GIF89a....")
@@ -357,17 +388,8 @@ class TestOverflowingCheckpoint:
         else:
             argv = ["--data", str(cli_workspace / "run" / "test_split.csv"),
                     "--report", str(tmp_path / "rep")]
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(fabnet.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fabnet.cli", command,
-             "--checkpoint", str(checkpoint)] + argv,
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert str(checkpoint) in lines[0]
+        proc = failed_run([command, "--checkpoint", str(checkpoint)] + argv)
+        assert str(checkpoint) in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "rep").exists()
 
@@ -495,8 +517,6 @@ class TestBadInput:
         v if isinstance(v, str) else " ".join(v)))
     def test_one_error_line_no_traceback(self, command, bad, cli_workspace,
                                          tmp_path):
-        # Run the real entry point so an escaping exception would show up
-        # as a traceback on stderr and a different exit code.
         if command == "synth":
             argv = ["synth", "--out", str(tmp_path / "ds")] + bad
         elif command == "gradcheck":
@@ -521,15 +541,31 @@ class TestBadInput:
                 argv += [flag, str(tmp_path / "bad.file")]
             else:
                 argv += bad
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(fabnet.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "fabnet.cli"] + argv,
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        failed_run(argv)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_output_path_through_a_file_fails_before_loading(
+            self, command, under, cli_workspace, tmp_path, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("images loaded before the output path was checked")
+
+        monkeypatch.setattr(fabnet.cli, "load_pixels", forbidden)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / under
+        if command == "train":
+            argv = ["train", "--data", str(cli_workspace / "ds" / "manifest.csv"),
+                    "--out", str(out)]
+        else:
+            argv = ["eval", "--checkpoint",
+                    str(cli_workspace / "run" / "checkpoint.fabn"),
+                    "--data", str(cli_workspace / "run" / "test_split.csv"),
+                    "--report", str(out)]
+        assert main(argv) == 1
+        flag = argv[-2]
+        assert capsys.readouterr().err == (
+            f"error: {flag} {out}: {tmp_path / 'afile'} is not a directory\n")
 
     def test_negative_seed_names_its_source(self, cli_workspace, tmp_path,
                                             capsys):

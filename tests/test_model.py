@@ -4,6 +4,7 @@ import gc
 import itertools
 import os
 import re
+import stat
 import struct
 from dataclasses import replace
 
@@ -273,7 +274,7 @@ class TestChunkedForward:
         real_conv2d = fabnet.model.conv2d
 
         def spy(x, kernels, bias):
-            batches.append(x.shape.batch)
+            batches.append(x.shape[0])
             return real_conv2d(x, kernels, bias)
 
         monkeypatch.setattr(fabnet.model, "conv2d", spy)
@@ -628,6 +629,23 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.fabn"]
 
+    def test_file_synced_before_the_rename_and_directory_after(
+            self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append("dir" if stat.S_ISDIR(info.st_mode) else info.st_size)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", lambda *paths: (
+            events.append("replace"), real_replace(*paths)))
+        path = tmp_path / "model.fabn"
+        save_checkpoint(build_model(TINY, seed=12), path)
+        # The temp file is synced whole before it replaces the target.
+        assert events == [path.stat().st_size, "replace", "dir"]
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         m = build_model(TINY, seed=14)

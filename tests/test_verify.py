@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fabnet.tensor import Tensor, backward_fault, grad_check
+from fabnet.tensor import Tensor, grad_check
 from fabnet.verify import CHECKS, DEFAULT_TOLERANCE, _kink_margin, _model_for_check
+from oracles import backward_fault
 
 
 def test_tied_positive_pool_windows_have_zero_margin():
