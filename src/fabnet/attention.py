@@ -18,19 +18,6 @@ from .tensor import Tensor, dense, ew_add, ew_mul, mean_spatial, relu, sigmoid
 
 
 @dataclass(frozen=True)
-class FabParams:
-    """Weights of the attention block.
-
-    ``w_reduce`` maps C channels to C/ratio, ``w_expand`` maps back to C.
-    """
-
-    w_reduce: Tensor   # (1, 1, C/ratio, C)
-    b_reduce: Tensor   # (1, 1, 1, C/ratio)
-    w_expand: Tensor   # (1, 1, C, C/ratio)
-    b_expand: Tensor   # (1, 1, 1, C)
-
-
-@dataclass(frozen=True)
 class FabActivations:
     """Intermediate results of one block application."""
 
@@ -61,34 +48,38 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=size)
 
 
-def fab_init(channels: int, ratio: int, rng: np.random.Generator) -> FabParams:
+def fab_init(channels: int, ratio: int, rng: np.random.Generator) -> dict:
     """Draw fresh block weights; deterministic for a given generator state.
 
-    The bottleneck weight is He-uniform (it feeds a ReLU), the expanding
-    weight Glorot-uniform, and both biases start at zero.
+    Returns the model's ``fab.*`` entries in its parameter order: the
+    bottleneck weight (1, 1, C/ratio, C) is He-uniform (it feeds a ReLU),
+    the expanding weight (1, 1, C, C/ratio) Glorot-uniform, and both
+    biases start at zero.
     """
     if ratio < 1 or channels % ratio != 0:
         raise ConfigError(f"ratio {ratio} must divide channel count {channels}")
     mid = channels // ratio
     w_reduce = he_uniform(rng, channels, (1, 1, mid, channels))
     w_expand = glorot_uniform(rng, mid, channels, (1, 1, channels, mid))
-    return FabParams(
-        w_reduce=Tensor(w_reduce),
-        b_reduce=Tensor(np.zeros((1, 1, 1, mid))),
-        w_expand=Tensor(w_expand),
-        b_expand=Tensor(np.zeros((1, 1, 1, channels))),
-    )
+    return {"fab.reduce.weight": Tensor(w_reduce),
+            "fab.reduce.bias": Tensor(np.zeros((1, 1, 1, mid))),
+            "fab.expand.weight": Tensor(w_expand),
+            "fab.expand.bias": Tensor(np.zeros((1, 1, 1, channels)))}
 
 
-def fab_forward(x: Tensor, p: FabParams) -> FabActivations:
+def fab_forward(x: Tensor, params: dict) -> FabActivations:
     """Apply the attention block to (N,H,W,C) input.
 
-    out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x
+    out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x,
+    with the weights read from ``params``'s ``fab.*`` entries (a model's
+    ``params`` will do; other entries are ignored).
     """
     pooled = mean_spatial(x)
-    bottleneck = dense(pooled, p.w_reduce, p.b_reduce)
+    bottleneck = dense(pooled, params["fab.reduce.weight"],
+                       params["fab.reduce.bias"])
     reduced = relu(bottleneck)
-    gate = sigmoid(dense(reduced, p.w_expand, p.b_expand))
+    gate = sigmoid(dense(reduced, params["fab.expand.weight"],
+                         params["fab.expand.bias"]))
     out = ew_add(ew_mul(x, gate), x)
     return FabActivations(pooled=pooled, bottleneck=bottleneck, reduced=reduced,
                           gate=gate, out=out)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import (FabParams, fab_forward, fab_init, glorot_uniform,
-                        he_uniform)
+from .attention import fab_forward, fab_init, glorot_uniform, he_uniform
 from .errors import ConfigError, FormatError, ShapeError, decode_utf8
 from .tensor import Tape, Tensor, dense, mean_spatial, relu, _emit
 
@@ -99,14 +98,6 @@ class Model:
         self.class_names = list(class_names)
         self.params = params          # name -> Tensor, insertion-ordered
         self.trainable = trainable    # name -> bool
-
-    def fab_params(self) -> FabParams:
-        return FabParams(
-            w_reduce=self.params["fab.reduce.weight"],
-            b_reduce=self.params["fab.reduce.bias"],
-            w_expand=self.params["fab.expand.weight"],
-            b_expand=self.params["fab.expand.bias"],
-        )
 
     def watch_trainable(self, tape: Tape) -> Model:
         """This model with each trainable parameter a fresh leaf of ``tape``.
@@ -200,8 +191,7 @@ def build_model(cfg: ModelConfig, seed: int, class_names=None) -> Model:
     if cfg.use_fab:
         fab = fab_init(cfg.blocks[-1].out_channels, cfg.fab_ratio,
                        _param_rng(seed, "fab"))
-        values["fab.reduce.weight"] = fab.w_reduce.data
-        values["fab.expand.weight"] = fab.w_expand.data
+        values.update((name, t.data) for name, t in fab.items())
     shape = table["head.hidden.weight"][0]
     values["head.hidden.weight"] = he_uniform(
         _param_rng(seed, "head.hidden"), shape[3], shape)
@@ -366,7 +356,7 @@ def _tail(m: Model, t: Tensor, observe=None) -> Tensor:
     The head's dense layers are not bit-stable across row blocks.
     """
     if m.config.use_fab:
-        acts = fab_forward(t, m.fab_params())
+        acts = fab_forward(t, m.params)
         if observe is not None:
             observe("fab", acts)
         t = acts.out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import FabParams, fab_forward, fab_init
+from .attention import fab_forward, fab_init
 from .model import ConvBlockSpec, Model, ModelConfig, build_model, conv2d, maxpool2x2, model_forward
 from .tensor import Tensor, dense, ew_add, ew_mul, grad_check, mean_spatial, relu, sigmoid, sum_all
 from .training import softmax_cross_entropy
@@ -77,9 +77,8 @@ def _check_attention_block(rng):
         p = fab_init(8, 4, rng)
         if np.abs(fab_forward(x, p).bottleneck.data).min() > 1e-3:
             break
-    yield from _legs(
-        lambda *legs: fab_forward(legs[0], FabParams(*legs[1:])).out,
-        x, p.w_reduce, p.b_reduce, p.w_expand, p.b_expand)
+    yield from _legs(lambda x, *w: fab_forward(x, dict(zip(p, w))).out,
+                     x, *p.values())
 
 
 def _model_for_check(seed: int):

@@ -215,7 +215,7 @@ def relu_then_pool_forward(m, x):
         if blk.pool:
             t = maxpool2x2(t)
     if m.config.use_fab:
-        t = fab_forward(t, m.fab_params()).out
+        t = fab_forward(t, m.params).out
     t = mean_spatial(t)
     t = relu(dense(t, m.params["head.hidden.weight"],
                    m.params["head.hidden.bias"]))
@@ -237,7 +237,7 @@ def whole_batch_forward(m, x):
             t = maxpool2x2(t)
         t = relu(t)
     if m.config.use_fab:
-        t = fab_forward(t, m.fab_params()).out
+        t = fab_forward(t, m.params).out
     t = relu(dense(mean_spatial(t), m.params["head.hidden.weight"],
                    m.params["head.hidden.bias"]))
     return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])

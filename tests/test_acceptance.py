@@ -31,10 +31,9 @@ def report(criterion: int, ok: bool, detail: str):
 
 
 def saturated(params, bias_value):
-    return replace(params,
-                   w_expand=Tensor(np.zeros_like(params.w_expand.data)),
-                   b_expand=Tensor(np.full(params.b_expand.data.shape,
-                                           bias_value)))
+    w, b = params["fab.expand.weight"].data, params["fab.expand.bias"].data
+    return {**params, "fab.expand.weight": Tensor(np.zeros_like(w)),
+            "fab.expand.bias": Tensor(np.full(b.shape, bias_value))}
 
 
 def make_split(tmp, classes, per_class, size, seed):
@@ -99,8 +98,10 @@ def test_criterion_3_brute_force_equivalence():
                                      int(rng.integers(1, 4)),
                                      int(rng.integers(1, 4)), c))
         got = fab_forward(Tensor(x), p).out.data
-        want = attention_oracle(x, p.w_reduce.data, p.b_reduce.data,
-                                p.w_expand.data, p.b_expand.data)
+        want = attention_oracle(x, p["fab.reduce.weight"].data,
+                                p["fab.reduce.bias"].data,
+                                p["fab.expand.weight"].data,
+                                p["fab.expand.bias"].data)
         worst_fab = max(worst_fab, np.abs(got - want).max())
 
     for _ in range(100):

@@ -1,12 +1,12 @@
 """Attention block: closed forms, invariants, oracle equivalence."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from fabnet.attention import fab_forward, fab_gate_stats, fab_init
 from fabnet.errors import ConfigError, ShapeError
+from fabnet.model import (ConvBlockSpec, ModelConfig, _param_rng, build_model,
+                          param_table)
 from fabnet.tensor import (Tensor, dense, grad_check, mean_spatial, sum_all,
                            tensor_new)
 from oracles import attention_oracle
@@ -14,20 +14,18 @@ from oracles import attention_oracle
 
 def saturated_params(params, bias_value):
     """Zero expanding weight, constant expanding bias: a fixed gate."""
-    return replace(
-        params,
-        w_expand=Tensor(np.zeros_like(params.w_expand.data)),
-        b_expand=Tensor(np.full(params.b_expand.data.shape, bias_value)),
-    )
+    w, b = params["fab.expand.weight"].data, params["fab.expand.bias"].data
+    return {**params, "fab.expand.weight": Tensor(np.zeros_like(w)),
+            "fab.expand.bias": Tensor(np.full(b.shape, bias_value))}
 
 
 class TestInit:
     def test_full_reduction_shapes(self):
         p = fab_init(8, 8, np.random.default_rng(0))
-        assert p.w_reduce.data.shape == (1, 1, 1, 8)
-        assert p.w_expand.data.shape == (1, 1, 8, 1)
-        assert np.all(p.b_reduce.data == 0.0)
-        assert np.all(p.b_expand.data == 0.0)
+        assert p["fab.reduce.weight"].data.shape == (1, 1, 1, 8)
+        assert p["fab.expand.weight"].data.shape == (1, 1, 8, 1)
+        assert np.all(p["fab.reduce.bias"].data == 0.0)
+        assert np.all(p["fab.expand.bias"].data == 0.0)
 
     def test_nondivisible_ratio(self):
         with pytest.raises(ConfigError):
@@ -36,8 +34,19 @@ class TestInit:
     def test_seed_determinism(self):
         a = fab_init(16, 4, np.random.default_rng(42))
         b = fab_init(16, 4, np.random.default_rng(42))
-        assert np.array_equal(a.w_reduce.data, b.w_reduce.data)
-        assert np.array_equal(a.w_expand.data, b.w_expand.data)
+        for name in ("fab.reduce.weight", "fab.expand.weight"):
+            assert np.array_equal(a[name].data, b[name].data)
+
+    def test_init_draws_the_models_fab_entries(self):
+        for channels, ratio in ((64, 8), (8, 8), (6, 3)):
+            cfg = ModelConfig(blocks=(ConvBlockSpec(channels),), fab_ratio=ratio)
+            want = [(name, shape) for name, (shape, _) in param_table(cfg).items()
+                    if name.startswith("fab.")]
+            p = fab_init(channels, ratio, _param_rng(7, "fab"))
+            assert [(name, t.data.shape) for name, t in p.items()] == want
+            m = build_model(cfg, seed=7)
+            for name, t in p.items():
+                assert m.params[name].data.tobytes() == t.data.tobytes()
 
 
 class TestForwardClosedForms:
@@ -75,7 +84,7 @@ class TestForwardClosedForms:
         p = fab_init(8, 4, np.random.default_rng(8))
         x = Tensor(np.random.default_rng(9).uniform(-1, 1, size=(2, 4, 4, 8)))
         acts = fab_forward(x, p)
-        want = dense(mean_spatial(x), p.w_reduce, p.b_reduce)
+        want = dense(mean_spatial(x), p["fab.reduce.weight"], p["fab.reduce.bias"])
         assert acts.bottleneck.data.tobytes() == want.data.tobytes()
         b = acts.bottleneck.data
         assert acts.reduced.data.tobytes() == np.where(b > 0, b, 0.0).tobytes()
@@ -182,6 +191,8 @@ class TestInvariants:
             p = fab_init(c, 2, rng)
             x_data = rng.uniform(-2, 2, size=(n, h, w, c))
             got = fab_forward(Tensor(x_data), p).out.data
-            want = attention_oracle(x_data, p.w_reduce.data, p.b_reduce.data,
-                                    p.w_expand.data, p.b_expand.data)
+            want = attention_oracle(x_data, p["fab.reduce.weight"].data,
+                                    p["fab.reduce.bias"].data,
+                                    p["fab.expand.weight"].data,
+                                    p["fab.expand.bias"].data)
             assert np.abs(got - want).max() <= 1e-12

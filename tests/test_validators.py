@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fabnet.data import batch_iterator, decode_image, synth_generate, write_ppm
-from fabnet.errors import ConfigError, ImageFormatError, ShapeError
+from fabnet.errors import ConfigError, GraphError, ImageFormatError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, conv2d, parse_blocks,
                           validate_config)
 from fabnet.tensor import (Tensor, dense, ew_mul, grad_check, sum_all,
@@ -92,6 +92,10 @@ VALIDATORS = {
         lambda tmp: grad_check(infinite_off_the_point,
                                tensor_new((1, 1, 1, 1), [1.0])),
         ValueError, "function produced a non-finite value"),
+    "grad_check_constant_function": (
+        lambda tmp: grad_check(lambda leaf: zeros(1, 1, 1, 1),
+                               tensor_new((1, 1, 1, 1), [1.0])),
+        GraphError, "loss tensor was not recorded on this tape"),
     "logits_not_flat": (
         lambda tmp: softmax_cross_entropy(zeros(1, 2, 1, 3), [0]),
         ShapeError, "logits must be (N,1,1,K)"),
