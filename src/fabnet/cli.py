@@ -209,7 +209,7 @@ COMMANDS = {
     "predict": ("classify one PPM/PGM image", (
         ("--checkpoint", dict(required=True)),
         ("--image", dict(required=True))), cmd_predict),
-    "gradcheck": ("verify backward rules against finite differences", (
+    "gradcheck": ("verify backward rules against complex-step derivatives", (
         ("--seed", dict(type=int, default=0)),), cmd_gradcheck),
 }
 

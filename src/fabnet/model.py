@@ -252,7 +252,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     kdata = kernels.data
     ncol = kh * kw * cin   # entries per column
     wmat = kdata.reshape(ncol, cout)
-    out = np.empty((n * h * w, cout))
+    out = np.empty((n * h * w, cout), dtype=np.result_type(padded, kdata, bias.data))
     per_block = _images_per_block(h, w)
     windows = _windows(padded, kh, kw)
     workspace = np.empty((min(per_block, n),) + windows.shape[1:],

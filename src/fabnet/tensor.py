@@ -1,9 +1,10 @@
 """Rank-4 NHWC tensors with a reverse-mode differentiation tape.
 
-All arithmetic is 64-bit. Every forward operation either runs untracked
-(pure numpy, no graph) or records one node on the tape of its tracked
-operands, holding just enough state to produce exact gradients when
-``backward`` replays the tape in reverse.
+Leaves, parameters and gradients are float64; an untracked forward keeps
+its operands' dtype (complex128 inside ``grad_check``). Every forward
+operation either runs untracked (pure numpy, no graph) or records one
+node on the tape of its tracked operands, holding just enough state to
+produce exact gradients when ``backward`` replays the tape in reverse.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import GraphError, ShapeError
 
 
 class Tensor:
-    """A rank-4 float64 array, optionally tied to a tape node.
+    """A rank-4 array, optionally tied to a tape node.
 
     ``data`` is row-major (batch, height, width, channel). Tensors are
     value-immutable once created; only the optimizer mutates parameter
@@ -208,7 +209,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(0, x); the subgradient at exactly 0 is 0."""
-    mask = x.data > 0.0
+    mask = x.data.real > 0.0
     return _emit("relu", (x,), np.where(mask, x.data, 0.0),
                  lambda g: (g * mask,))
 
@@ -216,19 +217,21 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function in the sign-branched form, overflow-free.
 
-    ``e = exp(-|d|)`` is ``exp(-d)`` where ``d >= 0`` and ``exp(d)``
-    elsewhere, so ``1/(1+e)`` and ``e/(1+e)`` are the two branches' bytes.
+    ``e`` is ``exp(-d)`` where ``d >= 0`` and ``exp(d)`` elsewhere, so
+    ``1/(1+e)`` and ``e/(1+e)`` are the two branches' bytes. The branch
+    reads the real part, so a complex ``d`` stays on one branch.
     """
     d = x.data
-    e = np.exp(-np.abs(d))
+    pos = d.real >= 0.0
+    e = np.exp(np.where(pos, -d, d))
     s = 1.0 + e
-    out = np.where(d >= 0.0, 1.0 / s, e / s)
+    out = np.where(pos, 1.0 / s, e / s)
     return _emit("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements as a (1,1,1,1) scalar tensor."""
-    out = np.array(x.data.sum(), dtype=np.float64).reshape(1, 1, 1, 1)
+    out = x.data.sum(keepdims=True)
     shape = x.shape
 
     def back(g):
@@ -267,35 +270,35 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     return {nid: Tensor(g) for nid, g in grads.items()}
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
-               eps: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of ``f`` against central differences.
+_STEP = 1e-30   # complex step h: no difference is taken, so h can be tiny
 
-    ``f`` must map one leaf tensor to a scalar tensor computed from that
-    leaf, and be deterministic. Returns the max over coordinates of
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Compare reverse-mode gradients of ``f`` against the complex step.
+
+    The reference is ``Im f(x + i*h*e_k) / h`` per coordinate k (Squire &
+    Trapp, SIAM Review 40(1), 1998): nothing cancels, and branches read
+    the real part, so at a kink it is the active piece's derivative, as
+    the tape's is. ``f`` must map one leaf tensor to a scalar tensor
+    computed from that leaf, be deterministic and carry an imaginary part
+    through its forward. Returns the max over coordinates of
     ``|a - n| / max(1e-12, |a| + |n|)``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     tape = Tape()
     leaf = tensor_new(x.shape, x.values, track=True, tape=tape)
     out = f(leaf)
     if not np.all(np.isfinite(out.data)):
         raise ValueError("grad_check: function produced a non-finite value")
-    grads = backward(tape, out)
-    aflat = grads[leaf.node_id].values
+    aflat = backward(tape, out)[leaf.node_id].values
 
-    base = x.values.copy()
     worst = 0.0
-    for i in range(base.size):
-        bumped = base.copy()
-        bumped[i] = base[i] + eps
-        fp = f(tensor_new(x.shape, bumped)).item()
-        bumped[i] = base[i] - eps
-        fm = f(tensor_new(x.shape, bumped)).item()
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+    for i in range(aflat.size):
+        stepped = x.values.astype(np.complex128)
+        stepped[i] += _STEP * 1j
+        value = f(Tensor(stepped.reshape(x.shape))).data.reshape(-1)[0]
+        if not np.isfinite(value):
             raise ValueError("grad_check: function produced a non-finite value")
-        numeric = (fp - fm) / (2.0 * eps)
+        numeric = value.imag / _STEP
         err = abs(aflat[i] - numeric) / max(1e-12, abs(aflat[i]) + abs(numeric))
         if err > worst:
             worst = err

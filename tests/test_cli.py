@@ -409,10 +409,12 @@ class TestGradcheck:
         assert out.count("ok") >= 13
         assert "FAIL" not in out
 
-    def test_inputs_near_kinks_are_redrawn(self):
-        # Seed 114's first model_loss input puts a ReLU or max-pool decision
-        # within a finite-difference step of its kink.
-        assert all(r.passed for r in run_suite(seed=110, n_seeds=5))
+    @pytest.mark.parametrize("seed", [110, 129, 158, 198])
+    def test_verdict_does_not_depend_on_the_seed(self, seed):
+        # Central differences at eps 1e-5 failed 129, 158 and 198: their
+        # gradients were below the rounding error of f(x+eps) - f(x-eps).
+        # 110 covers inputs that sit near a ReLU or max-pool kink.
+        assert all(r.passed for r in run_suite(seed=seed, n_seeds=5))
 
 
 # A representative argv for each subcommand.

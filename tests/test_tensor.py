@@ -1,4 +1,4 @@
-"""Tensor construction, forward ops, tape backward, and the FD oracle."""
+"""Tensor construction, forward ops, tape backward, and the gradient oracle."""
 
 import warnings
 
@@ -315,7 +315,14 @@ class TestGradCheck:
         x = Tensor(rng.uniform(-2, 2, size=(2, 2, 2, 3)))
         assert grad_check(lambda t: sum_all(sigmoid(t)), x) < 1e-7
 
-    def test_eps_must_be_positive(self):
-        x = Tensor(np.ones((1, 1, 1, 1)))
-        with pytest.raises(ValueError):
-            grad_check(sum_all, x, eps=0.0)
+    def test_kink_reads_the_active_piece(self):
+        # At x = 0 the tape's ReLU gradient is 0; a central difference
+        # straddling the kink reads 0.5 there, the complex step reads 0.
+        x = Tensor(np.array([-1.0, 0.0, 0.5, 2.0]).reshape(1, 1, 2, 2))
+        assert grad_check(lambda t: sum_all(relu(t)), x) == 0.0
+
+    def test_small_gradient_beside_a_large_value(self):
+        # f is about 1e6, so a central difference at eps 1e-5 loses the
+        # 2e-4 gradient to rounding; the complex step takes no difference.
+        x = Tensor(np.array([1e3, 1e-4]).reshape(1, 1, 1, 2))
+        assert grad_check(lambda t: sum_all(ew_mul(t, t)), x) < 1e-12
