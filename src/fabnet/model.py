@@ -273,7 +273,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         grad_b = g.sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout)
         if not need_x:
             return (None, grad_w, grad_b)
-        grad_padded = np.zeros(padded.shape)
+        grad_padded = np.zeros_like(padded)
         for i in range(kh):
             for j in range(kw):
                 grad_padded[:, i:i + h, j:j + w, :] += g @ kdata[i, j].T
@@ -310,12 +310,13 @@ def maxpool2x2(x: Tensor) -> Tensor:
         seen |= tap
 
     def back(g):
-        # g at the winners and +0.0 elsewhere, by ANDing the bits of g with
-        # all-ones or all-zeros masks: the bytes of np.where(hit, g, 0.0)
-        # at about half its cost.
-        bits = np.negative(hit.view(np.int8), dtype=np.int64)
-        bits &= g.view(np.int64)[:, :, None, :, None, :]
-        return (bits.view(np.float64).reshape(n, h, w, c),)
+        # g at the winners and +0.0 elsewhere, by ANDing g's bits with
+        # all-ones or all-zeros masks of g's width (int32 for float32): the
+        # bytes of np.where(hit, g, 0.0) at about half its cost.
+        ints = np.dtype(f"i{g.itemsize}")
+        bits = np.negative(hit.view(np.int8), dtype=ints)
+        bits &= g.view(ints)[:, :, None, :, None, :]
+        return (bits.view(g.dtype).reshape(n, h, w, c),)
 
     return _emit("maxpool2x2", (x,), out, back)
 

@@ -1,10 +1,12 @@
 """Rank-4 NHWC tensors with a reverse-mode differentiation tape.
 
-Leaves, parameters and gradients are float64; an untracked forward keeps
-its operands' dtype (complex128 inside ``grad_check``). Every forward
-operation either runs untracked (pure numpy, no graph) or records one
-node on the tape of its tracked operands, holding just enough state to
-produce exact gradients when ``backward`` replays the tape in reverse.
+``tensor_new`` makes float64 leaves. Every operation keeps its operands'
+dtype (complex128 inside ``grad_check``), and a gradient takes the dtype
+of what it differentiates, so float32 leaves backpropagate in float32.
+Every forward operation either runs untracked (pure numpy, no graph) or
+records one node on the tape of its tracked operands, holding just enough
+state to produce exact gradients when ``backward`` replays the tape in
+reverse.
 """
 
 from __future__ import annotations
@@ -243,20 +245,20 @@ def sum_all(x: Tensor) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse-mode gradients of a scalar loss for every reached leaf.
 
-    Seeds the loss gradient with 1 and sweeps the tape once in reverse
-    id order, so repeated runs are bit-identical. Returns leaf node_id ->
-    gradient tensor of the leaf's shape, for the leaves (the nodes
-    ``Tape.watch`` records) that the loss depends on. A non-leaf node's
-    gradient is freed as soon as its rule has consumed it, so the sweep
-    holds only the gradients still owed to earlier nodes; the nodes and
-    their rules stay on the tape and remain callable afterwards.
+    Seeds the loss gradient with a 1 of the loss's dtype and sweeps the
+    tape once in reverse id order, so repeated runs are bit-identical.
+    Returns leaf node_id -> gradient tensor of the leaf's shape, for the
+    leaves (the nodes ``Tape.watch`` records) that the loss depends on. A
+    non-leaf node's gradient is freed as soon as its rule has consumed it,
+    so the sweep holds only the gradients still owed to earlier nodes; the
+    nodes and their rules stay on the tape and remain callable afterwards.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape or not loss.tracked:
         raise GraphError("loss tensor was not recorded on this tape")
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
-    grads: dict = {loss.node_id: np.ones((1, 1, 1, 1))}
+    grads: dict = {loss.node_id: np.ones_like(loss.data)}
     for nid in range(loss.node_id, -1, -1):
         node = tape.nodes[nid]
         if node.backward is None or nid not in grads:

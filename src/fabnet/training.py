@@ -254,8 +254,6 @@ class MetricsReport:
     precision: np.ndarray
     recall: np.ndarray
     f1: np.ndarray
-    macro_precision: float
-    macro_recall: float
     macro_f1: float
     accuracy: float
     top1_error_percent: float
@@ -317,8 +315,6 @@ def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
         precision=precision,
         recall=recall,
         f1=f1,
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
         accuracy=accuracy,
         top1_error_percent=100.0 - 100.0 * accuracy,
