@@ -69,14 +69,14 @@ class _Node(NamedTuple):
 
 
 class Tape:
-    """Append-only record of one forward pass.
+    """Record of one forward pass, swept once by ``backward``.
 
     Node ids are assigned in creation order, so every operand id is
     smaller than its consumer's id and a single reverse sweep visits
-    each node exactly once. A tape is owned by one forward/backward
-    pass: a training step watches fresh leaves over the parameters'
-    arrays, so only the step's locals refer to its tape, and nothing
-    recorded later lands on it.
+    each node exactly once, dropping each rule once it has run. A tape is
+    owned by one forward/backward pass: a training step watches fresh
+    leaves over the parameters' arrays, so only the step's locals refer
+    to its tape, and nothing recorded later lands on it.
     """
 
     __slots__ = ("nodes",)
@@ -90,7 +90,9 @@ class Tape:
         return len(self.nodes) - 1
 
     def watch(self, t: Tensor) -> None:
-        """Register an existing tensor as a leaf of this tape."""
+        """Register an untracked tensor as a leaf of this tape."""
+        if t.tracked:
+            raise GraphError("watch: tensor is already tracked on a tape")
         t.tape = self
         t.node_id = self.record("leaf", (), None)
 
@@ -242,6 +244,10 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit("sum_all", (x,), out, back)
 
 
+def _swept(g):
+    raise GraphError("rule already run: a tape is swept once")
+
+
 def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse-mode gradients of a scalar loss for every reached leaf.
 
@@ -250,8 +256,9 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     Returns leaf node_id -> gradient tensor of the leaf's shape, for the
     leaves (the nodes ``Tape.watch`` records) that the loss depends on. A
     non-leaf node's gradient is freed as soon as its rule has consumed it,
-    so the sweep holds only the gradients still owed to earlier nodes; the
-    nodes and their rules stay on the tape and remain callable afterwards.
+    and the rule itself, with the arrays it saved, as soon as it has run,
+    so the sweep holds only what earlier nodes still need. A rule that has
+    run is replaced by one that raises ``GraphError``: a tape is swept once.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape or not loss.tracked:
         raise GraphError("loss tensor was not recorded on this tape")
@@ -264,6 +271,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
         if node.backward is None or nid not in grads:
             continue
         pgs = node.backward(grads.pop(nid))
+        tape.nodes[nid] = node._replace(backward=_swept)
         for pid, pg in zip(node.parents, pgs):
             if pid is None or pg is None:
                 continue

@@ -168,7 +168,8 @@ def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
     The batch is rows ``batch`` of ``x`` and ``y``, all rows by default.
     The step gathers and scales it inside the forward call, so no frame
     holds it once the forward pass returns. Its tape watches leaves that
-    share ``model``'s arrays, so Adam updates ``model``, and the tape,
+    share ``model``'s arrays, so Adam updates ``model``. The sweep frees
+    each backward rule's saved arrays once the rule has run, and the tape,
     logits, loss and gradients die when the step returns.
     """
     yb = y[batch]

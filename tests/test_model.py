@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import fabnet.model
 import fabnet.training
 from fabnet.attention import FabActivations
-from fabnet.errors import ConfigError, FormatError, ShapeError
+from fabnet.errors import ConfigError, FormatError, GraphError, ShapeError
 from fabnet.model import (MAX_INPUT_EXTENT, ConvBlockSpec, ModelConfig,
                           build_model, conv2d, feature_map_size,
                           load_checkpoint, maxpool2x2, model_forward,
@@ -454,8 +455,9 @@ class TestConv2d:
             kt = tensor_new(k.shape, k, track=True, tape=tape)
             bt = tensor_new(b.shape, b, track=True, tape=tape)
             out = conv2d(xt, kt, bt)
+            parts = tape.nodes[out.node_id].backward(g)
             grads = backward(tape, sum_all(ew_mul(out, Tensor(g))))
-            return tape.nodes[out.node_id].backward(g), grads, xt
+            return parts, grads, xt
 
         (gx, gw, gb), grads, xt = legs(track_x=True)
         assert gx is not None and xt.node_id in grads
@@ -838,3 +840,35 @@ class TestTapeLifetime:
             if was_enabled:
                 gc.enable()
         assert leaked == 0
+
+    def test_sweep_frees_each_rule_before_the_next_runs(self):
+        # Once the sweep has run b2's and b1's conv rules, their padded
+        # inputs must be gone before b0's rule runs, though the tape that
+        # recorded them is still alive; the swept tape cannot be swept again.
+        m = build_model(ModelConfig(), seed=24)
+        x = Tensor(np.random.default_rng(25).uniform(0, 1, size=(2, 32, 32, 3)))
+        tape = Tape()
+        loss = softmax_cross_entropy(
+            model_forward(m.watch_trainable(tape), x), np.array([0, 1]))
+        b0, b1, b2 = [nid for nid, node in enumerate(tape.nodes)
+                      if node.op == "conv2d"]
+
+        def padded(nid):
+            rule = tape.nodes[nid].backward
+            cells = dict(zip(rule.__code__.co_freevars, rule.__closure__))
+            return weakref.ref(cells["padded"].cell_contents)
+
+        inputs = [padded(b1), padded(b2)]
+        assert all(ref() is not None for ref in inputs)
+        alive_at_b0 = []
+        rule = tape.nodes[b0].backward
+
+        def watched_rule(g):
+            alive_at_b0.extend(ref() is not None for ref in inputs)
+            return rule(g)
+
+        tape.nodes[b0] = tape.nodes[b0]._replace(backward=watched_rule)
+        backward(tape, loss)
+        assert alive_at_b0 == [False, False]
+        with pytest.raises(GraphError, match="a tape is swept once"):
+            backward(tape, loss)

@@ -7,7 +7,7 @@ from fabnet.data import batch_iterator, decode_image, synth_generate, write_ppm
 from fabnet.errors import ConfigError, GraphError, ImageFormatError, ShapeError
 from fabnet.model import (ConvBlockSpec, ModelConfig, conv2d, parse_blocks,
                           validate_config)
-from fabnet.tensor import (Tensor, dense, ew_mul, grad_check, sum_all,
+from fabnet.tensor import (Tape, Tensor, dense, ew_mul, grad_check, sum_all,
                            tensor_new)
 from fabnet.training import (SplitData, TrainConfig, evaluate,
                              metrics_from_predictions, softmax_cross_entropy,
@@ -85,6 +85,10 @@ VALIDATORS = {
     "dense_bias_mismatch": (
         lambda tmp: dense(zeros(1, 1, 1, 2), zeros(1, 1, 3, 2), zeros(1, 1, 1, 2)),
         ShapeError, "does not match 3 outputs"),
+    "watch_tracked_tensor": (
+        lambda tmp: Tape().watch(tensor_new((1, 1, 1, 1), [0.0], track=True,
+                                            tape=Tape())),
+        GraphError, "tensor is already tracked"),
     "grad_check_infinite_loss": (
         lambda tmp: grad_check(square_overflows, tensor_new((1, 1, 1, 1), [1e200])),
         ValueError, "function produced a non-finite value"),
