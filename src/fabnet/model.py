@@ -201,11 +201,25 @@ def build_model(cfg: ModelConfig, seed: int, class_names=None) -> Model:
     return _model_from_table(cfg, class_names, table, values)
 
 
-def _images_per_block(h: int, w: int) -> int:
-    # Images per conv2d column block: 1024 output pixels, rounded down to
-    # whole images (at least one). Of 1024, 2048 and 4096 pixels, 1024 ran the
-    # default 50-image sweep fastest (2-vCPU VM, one BLAS thread; 4096: +10 %).
-    return max(1, 1024 // (h * w))
+# Output pixels per conv2d column block. The cap bounds the im2col
+# workspace at 256 * KH*KW*Cin items whatever the image size: an untracked
+# 224x224 forward at the default widths peaked (tracemalloc, batch 1) at
+# 7.8 MiB against 20.0 MiB under the former rule of 1024 pixels in whole
+# images, and the benchmark's 100-image predict set-up at 41.5 against
+# 44.1 MB (VmHWM; 2-vCPU Xeon, OpenBLAS SkylakeX kernel, one BLAS thread).
+_BLOCK_PIXELS = 256
+
+
+def _block_shape(h: int, w: int) -> tuple:
+    """(images, rows) of each conv2d column block at output extent h x w.
+
+    Whole images while one fits in ``_BLOCK_PIXELS``; otherwise a band of
+    ``max(1, _BLOCK_PIXELS // w)`` rows of one image, the last band of an
+    image taking the rows left over.
+    """
+    if h * w <= _BLOCK_PIXELS:
+        return _BLOCK_PIXELS // (h * w), h
+    return 1, max(1, _BLOCK_PIXELS // w)
 
 
 def _windows(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -226,9 +240,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     ``kernels`` is (KH, KW, Cin, Cout) with odd KH/KW; output spatial
     size equals input size. The forward pass multiplies im2col columns,
     laid out (KH, KW, Cin) per output pixel (Chellapilla, Puri & Simard,
-    2006), by the kernel matrix, one block of whole images at a time
-    through one workspace; a block changes only the matmul's row count,
-    so the output bytes equal those of one whole-batch matmul.
+    2006), by the kernel matrix, one block (``_block_shape``) at a time
+    through one workspace sized to the largest block, each matmul writing
+    straight into the output. A block changes the matmul's row count,
+    which can move bytes on some BLAS kernels and shapes: the output
+    bytes equal one whole-batch matmul's at the shapes
+    ``test_bytes_match_whole_batch_im2col`` checks, on the kernels CI
+    runs. The chunked forward of ``model_forward`` equals the whole-batch
+    forward because its chunks start on block boundaries, so it runs
+    the same matmuls.
 
     The backward rule keeps the padded input, a ninth of the columns'
     size (Chen et al., arXiv:1604.06174): it rebuilds the columns for
@@ -252,18 +272,24 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     kdata = kernels.data
     ncol = kh * kw * cin   # entries per column
     wmat = kdata.reshape(ncol, cout)
-    out = np.empty((n * h * w, cout), dtype=np.result_type(padded, kdata, bias.data))
-    per_block = _images_per_block(h, w)
+    out = np.empty((n, h, w, cout),
+                   dtype=np.result_type(padded, kdata, bias.data))
+    images, rows = _block_shape(h, w)
     windows = _windows(padded, kh, kw)
-    workspace = np.empty((min(per_block, n),) + windows.shape[1:],
+    workspace = np.empty((min(images, n), rows) + windows.shape[2:],
                          dtype=padded.dtype)
-    for start in range(0, n, per_block):
-        block = workspace[:min(per_block, n - start)]
-        np.copyto(block, windows[start:start + per_block])
-        np.matmul(block.reshape(-1, ncol), wmat,
-                  out=out[start * h * w:(start + len(block)) * h * w])
+    pixels = out.reshape(-1, cout)
+    for start in range(0, n, images):
+        for top in range(0, h, rows):
+            # Either whole images or rows of one image: both are one
+            # contiguous run of the workspace and of the output's pixels.
+            src = windows[start:start + images, top:top + rows]
+            block = workspace[:src.shape[0], :src.shape[1]]
+            np.copyto(block, src)
+            first = (start * h + top) * w
+            np.matmul(block.reshape(-1, ncol), wmat,
+                      out=pixels[first:first + block.size // ncol])
     out += bias.data.reshape(cout)
-    out = out.reshape(n, h, w, cout)
     need_x = x.tracked
 
     def back(g):
@@ -324,15 +350,17 @@ def maxpool2x2(x: Tensor) -> Tensor:
 def _chunk_images(cfg: ModelConfig) -> int:
     """Images per chunk of an untracked forward's depth-first backbone.
 
-    The least common multiple, over the convs, of ``_images_per_block`` at
-    the conv's input extent, as conv2d blocks its columns. Every chunk then
-    starts on a block boundary of every conv, so its GEMMs are GEMMs the
-    whole-batch forward runs too, and its bytes are theirs.
+    The least common multiple, over the convs, of the images in one
+    ``_block_shape`` block at the conv's input extent. A conv that runs
+    in row bands has one image per block, so any chunk lines up with it.
+    Every chunk then starts on a block boundary of every conv, so its
+    GEMMs are GEMMs the whole-batch forward runs too, and its bytes are
+    theirs.
     """
     h, w = cfg.input_size
     chunk = 1
     for blk in cfg.blocks:
-        chunk = math.lcm(chunk, _images_per_block(h, w))
+        chunk = math.lcm(chunk, _block_shape(h, w)[0])
         if blk.pool:
             h, w = h // 2, w // 2
     return chunk

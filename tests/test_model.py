@@ -107,6 +107,11 @@ class TestModelForward:
         logits = model_forward(m, Tensor(batch)).data
         assert np.array_equal(logits[0], logits[1])
 
+    def test_empty_batch_gives_empty_logits(self):
+        m = build_model(ModelConfig(), seed=5)
+        logits = model_forward(m, Tensor(np.zeros((0, 32, 32, 3))))
+        assert logits.data.shape == (0, 1, 1, 5)
+
     def test_size_mismatch(self):
         m = build_model(TINY, seed=5)
         with pytest.raises(ShapeError):
@@ -237,19 +242,24 @@ class TestObserver:
 
 # (config, images per chunk): the default config and criterion 6's, whose
 # chunk is their last conv's column block; two extents that are not powers
-# of two; and three blocks at 20x14, whose convs take 3, 14 and 14 images
-# per column block, so the chunk is their least common multiple, 42, and
-# not the largest block.
+# of two, whose first conv runs in row bands with a short last band; and
+# three blocks at 24x12, whose first conv runs in 21-row bands and whose
+# others take 3 and 14 images per column block, so the chunk is their least
+# common multiple, 42, and not the largest block.
 CHUNK_CONFIGS = [
-    (ModelConfig(), 16),
+    (ModelConfig(), 4),
     (ModelConfig(input_size=(16, 16),
                  blocks=(ConvBlockSpec(8), ConvBlockSpec(16)),
-                 fab_ratio=4, head_hidden=16), 16),
+                 fab_ratio=4, head_hidden=16), 4),
     (ModelConfig(input_size=(24, 24),
                  blocks=(ConvBlockSpec(4), ConvBlockSpec(8), ConvBlockSpec(8)),
-                 fab_ratio=4, head_hidden=8), 28),
+                 fab_ratio=4, head_hidden=8), 7),
     (ModelConfig(input_size=(20, 14),
                  blocks=(ConvBlockSpec(4), ConvBlockSpec(8, pool=False),
+                         ConvBlockSpec(8, pool=False)),
+                 fab_ratio=4, head_hidden=8), 3),
+    (ModelConfig(input_size=(24, 12),
+                 blocks=(ConvBlockSpec(4), ConvBlockSpec(8),
                          ConvBlockSpec(8, pool=False)),
                  fab_ratio=4, head_hidden=8), 42),
 ]
@@ -259,7 +269,8 @@ class TestChunkedForward:
     """An untracked batch runs the backbone one chunk of images at a time."""
 
     @pytest.mark.parametrize("cfg, chunk", CHUNK_CONFIGS,
-                             ids=["default", "criterion6", "24x24", "20x14"])
+                             ids=["default", "criterion6", "24x24", "20x14",
+                                  "24x12"])
     def test_logits_are_the_whole_batch_bytes(self, cfg, chunk):
         assert fabnet.model._chunk_images(cfg) == chunk
         m = build_model(cfg, seed=40)
@@ -281,7 +292,7 @@ class TestChunkedForward:
         monkeypatch.setattr(fabnet.model, "conv2d", spy)
         m = build_model(ModelConfig(), seed=42)
         model_forward(m, Tensor(np.zeros((50, 32, 32, 3))))
-        assert batches == [16] * 9 + [2] * 3
+        assert batches == [4] * 36 + [2] * 3
         batches.clear()
         model_forward(m, Tensor(np.zeros((50, 32, 32, 3))),
                       lambda name, value: None)
@@ -380,7 +391,7 @@ class TestTail:
         x = rng.uniform(0, 1, (50, 32, 32, 3))
         labels = rng.integers(0, cfg.num_classes, 50)
         chunk = fabnet.model._chunk_images(cfg)
-        assert chunk == 16
+        assert chunk == 4
         features = np.concatenate([
             fabnet.model._backbone(m, Tensor(x[start:start + chunk])).data
             for start in range(0, 50, chunk)])
@@ -467,18 +478,20 @@ class TestConv2d:
         assert gw_off.tobytes() == gw.tobytes()
         assert gb_off.tobytes() == gb.tobytes()
 
-    # (H, W, Cin, Cout) of the default config's three convs and of
-    # criterion 6's two.
+    # (H, W, Cin, Cout) of the default config's three convs, of criterion
+    # 6's two, and two over the 256-pixel block cap: 4-row bands that divide
+    # 64, and 8-row bands that leave a 4-row band at the end of each image.
     CONV_SHAPES = [(32, 32, 3, 16), (16, 16, 16, 32), (8, 8, 32, 64),
-                   (16, 16, 3, 8), (8, 8, 8, 16)]
+                   (16, 16, 3, 8), (8, 8, 8, 16), (64, 64, 3, 16),
+                   (44, 32, 16, 32)]
 
     @pytest.mark.parametrize("n", [1, 8, 16, 50, 64])
     @pytest.mark.parametrize("shape", CONV_SHAPES, ids=str)
     def test_bytes_match_whole_batch_im2col(self, shape, n):
         # The forward builds its columns a block of images at a time and
         # the backward rebuilds them; neither may move a byte away from
-        # one matmul over the whole batch's columns. At 32x32, 50 images
-        # are not a whole number of blocks.
+        # one matmul over the whole batch's columns. At 8x8, 50 images
+        # are not a whole number of 4-image blocks.
         h, w, cin, cout = shape
         rng = np.random.default_rng(23)
         x = rng.uniform(-2, 2, size=(n, h, w, cin))

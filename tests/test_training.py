@@ -278,7 +278,7 @@ class TestTrainLoop:
         assert peak <= 10 * 2**20
 
     def test_validation_sweep_peak_without_full_feature_maps(self):
-        # The untracked sweep runs the backbone 16 images at a time, so no
+        # The untracked sweep runs the backbone 4 images at a time, so no
         # conv output exists for all 50 images; at the whole batch, block
         # 0's output alone is 6.25 MiB and the sweep peaked at about
         # 7.9 MiB.
@@ -296,6 +296,15 @@ class TestTrainLoop:
         x = np.random.default_rng(2).uniform(0, 1, (100, 32, 32, 3))
         peak = _traced_peak(lambda: model_forward(m, Tensor(x)))
         assert peak <= 5 * 2**20
+
+    def test_untracked_forward_peak_memory_at_224(self):
+        # Column blocks of at most 256 output pixels bound the im2col
+        # workspace whatever the image size: one 224x224 image peaked at
+        # about 7.8 MiB, where blocks of whole images took 20.0 MiB.
+        m = build_model(ModelConfig(input_size=(224, 224)), seed=0)
+        x = np.random.default_rng(3).uniform(0, 1, (1, 224, 224, 3))
+        peak = _traced_peak(lambda: model_forward(m, Tensor(x)))
+        assert peak < 12 * 2**20
 
     def test_needs_an_epoch(self):
         with pytest.raises(ConfigError, match="max_epochs"):
