@@ -67,12 +67,12 @@ def fab_init(channels: int, ratio: int, rng: np.random.Generator) -> dict:
             "fab.expand.bias": Tensor(np.zeros((1, 1, 1, channels)))}
 
 
-def fab_forward(x: Tensor, params: dict) -> FabActivations:
-    """Apply the attention block to (N,H,W,C) input.
+def fab_gate(x: Tensor, params: dict) -> tuple:
+    """(pooled, bottleneck, reduced, gate) of the block over (N,H,W,C) input.
 
-    out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x,
-    with the weights read from ``params``'s ``fab.*`` entries (a model's
-    ``params`` will do; other entries are ignored).
+    gate = sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2), with the
+    weights read from ``params``'s ``fab.*`` entries (a model's ``params``
+    will do; other entries are ignored).
     """
     pooled = mean_spatial(x)
     bottleneck = dense(pooled, params["fab.reduce.weight"],
@@ -80,9 +80,23 @@ def fab_forward(x: Tensor, params: dict) -> FabActivations:
     reduced = relu(bottleneck)
     gate = sigmoid(dense(reduced, params["fab.expand.weight"],
                          params["fab.expand.bias"]))
-    out = ew_add(ew_mul(x, gate), x)
+    return pooled, bottleneck, reduced, gate
+
+
+def fab_apply(x: Tensor, gate: Tensor) -> Tensor:
+    """x * gate + x for (N,H,W,C) ``x`` and its (N,1,1,C) ``gate``."""
+    return ew_add(ew_mul(x, gate), x)
+
+
+def fab_forward(x: Tensor, params: dict) -> FabActivations:
+    """Apply the attention block to (N,H,W,C) input.
+
+    out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x:
+    ``fab_gate``, then ``fab_apply``.
+    """
+    pooled, bottleneck, reduced, gate = fab_gate(x, params)
     return FabActivations(pooled=pooled, bottleneck=bottleneck, reduced=reduced,
-                          gate=gate, out=out)
+                          gate=gate, out=fab_apply(x, gate))
 
 
 def fab_gate_stats(acts: FabActivations) -> GateStats:

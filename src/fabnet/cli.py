@@ -214,25 +214,32 @@ COMMANDS = {
 }
 
 
+def _add_command(parser: argparse.ArgumentParser, command: str) -> None:
+    _, arguments, handler = COMMANDS[command]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=handler)
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The fabnet parser, with every subcommand or only ``command``'s."""
+    """The fabnet parser with every subcommand, or ``command``'s alone.
+
+    ``command``'s parser is the one the full parser would hand its
+    arguments to, as ``fabnet <command>``; it parses what follows the
+    command name.
+    """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"fabnet {command}")
+        _add_command(parser, command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="fabnet",
         description="Train and evaluate a small attention-augmented CNN.")
-    # The usage line names every subcommand either way. A one-command build
-    # sets the metavar, whose default would list only the one built; the
-    # full parser keeps the default, as its "required" and "invalid choice"
-    # errors name the argument "command" only while the metavar is unset.
     # An explicit prog spares argparse formatting a usage line to find it.
-    sub = parser.add_subparsers(
-        prog=parser.prog, dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    commands = COMMANDS if command is None else {command: COMMANDS[command]}
-    for name, (help_text, arguments, handler) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(prog=parser.prog, dest="command",
+                                required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -240,8 +247,10 @@ def main(argv=None) -> int:
     """Run one subcommand; argv defaults to ``sys.argv[1:]``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # Help, no arguments and an unknown command need the full parser.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # MemoryError: a size no bound covers, such as a huge head or block

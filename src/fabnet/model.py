@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import fab_forward, fab_init, glorot_uniform, he_uniform
+from .attention import (fab_apply, fab_forward, fab_gate, fab_init,
+                        glorot_uniform, he_uniform)
+from .data import model_input
 from .errors import ConfigError, FormatError, ShapeError, decode_utf8
 from .tensor import Tape, Tensor, dense, mean_spatial, relu, _emit
 
@@ -379,6 +381,15 @@ def _backbone(m: Model, t: Tensor, observe=None) -> Tensor:
     return t
 
 
+def _head(m: Model, pooled: Tensor, observe=None) -> Tensor:
+    """The dense classifier on (N,1,1,C) channel means: hidden, ReLU, out."""
+    t = dense(pooled, m.params["head.hidden.weight"],
+              m.params["head.hidden.bias"])
+    if observe is not None:
+        observe("head.hidden", t)
+    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
+
+
 def _tail(m: Model, t: Tensor, observe=None) -> Tensor:
     """Attention block, spatial mean and head over the whole batch at once.
 
@@ -389,15 +400,43 @@ def _tail(m: Model, t: Tensor, observe=None) -> Tensor:
         if observe is not None:
             observe("fab", acts)
         t = acts.out
-    t = dense(mean_spatial(t), m.params["head.hidden.weight"],
-              m.params["head.hidden.bias"])
-    if observe is not None:
-        observe("head.hidden", t)
-    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
+    return _head(m, mean_spatial(t), observe)
+
+
+def _streamed_forward(m: Model, x: np.ndarray, chunk: int) -> Tensor:
+    """Untracked logits of ``x`` with ``_tail``'s bytes, a chunk at a time.
+
+    Each chunk of ``x`` is scaled (``model_input``) and run through the
+    backbone into one feature map for the batch. The attention gate needs
+    the whole map's channel means, so it is computed once over the batch;
+    each chunk is then gated and reduced to its channel means before the
+    next is. Only the dense layers see the whole batch at once: every
+    other op is bit-stable across images, so the bytes are the whole-batch
+    forward's.
+    """
+    n = len(x)
+    features = None
+    for start in range(0, n, chunk):
+        out = _backbone(m, Tensor(model_input(x[start:start + chunk]))).data
+        if features is None:
+            features = np.empty((n,) + out.shape[1:], dtype=out.dtype)
+        features[start:start + chunk] = out
+    gate = (fab_gate(Tensor(features), m.params)[-1].data
+            if m.config.use_fab else None)
+    pooled = np.empty((n, 1, 1, features.shape[3]), dtype=features.dtype)
+    for start in range(0, n, chunk):
+        t = Tensor(features[start:start + chunk])
+        if gate is not None:
+            t = fab_apply(t, Tensor(gate[start:start + chunk]))
+        pooled[start:start + chunk] = mean_spatial(t).data
+    return _head(m, Tensor(pooled))
 
 
 def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
+
+    ``x`` holds model input, or ``uint8`` decoder bytes that it scales
+    with ``model_input``, as ``SplitData`` allows.
 
     A pooling block runs conv → pool → ReLU, the same function as VGG's
     conv → ReLU → pool (``relu(maxpool(y)) == maxpool(relu(y))`` bit for
@@ -405,9 +444,12 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     sign of exact zeros, which the following sums erase.
 
     An untracked forward (``x`` and every parameter untracked, no
-    observer) of over one chunk of images (``_chunk_images``) runs the
-    backbone depth-first, a chunk at a time (Alwani et al., "Fused-Layer
-    CNN Accelerators", MICRO 2016), with the whole-batch forward's bytes.
+    observer) of over one chunk of images (``_chunk_images``) streams
+    depth-first, a chunk at a time (Alwani et al., "Fused-Layer CNN
+    Accelerators", MICRO 2016), with the whole-batch forward's bytes: it
+    holds one chunk of float input and one feature map, and only the
+    dense layers see the whole batch (``_streamed_forward``). Any other
+    forward scales a byte input once, whole.
 
     ``observe(name, value)``, if given, sees in order each block's conv
     output before pool and ReLU as ``"block<i>.conv"``, the attention
@@ -423,12 +465,10 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     chunk = _chunk_images(m.config)
     if (observe is None and n > chunk
             and not any(v.tracked for v in (x, *m.params.values()))):
-        t = Tensor(np.concatenate([
-            _backbone(m, Tensor(x.data[start:start + chunk])).data
-            for start in range(0, n, chunk)]))
-    else:
-        t = _backbone(m, x, observe)
-    return _tail(m, t, observe)
+        return _streamed_forward(m, x.data, chunk)
+    if x.data.dtype == np.uint8:
+        x = Tensor(model_input(x.data))
+    return _tail(m, _backbone(m, x, observe), observe)
 
 
 def trainable_parameters(m: Model) -> list:

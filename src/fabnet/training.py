@@ -7,7 +7,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import batch_iterator, model_input
+from .data import batch_iterator
 from .errors import ConfigError, DivergenceError, ShapeError
 from .model import Model, ModelConfig, build_model, model_forward, trainable_parameters
 from .tensor import Tape, Tensor, _emit, backward as tape_backward
@@ -135,8 +135,10 @@ class EpochCurve:
 class SplitData:
     """The images and class ids of one train/test split.
 
-    An image array of ``uint8`` holds decoder bytes, which ``train``
-    scales one batch at a time; a float array is model input as it is.
+    An image array of ``uint8`` holds decoder bytes, which
+    ``model_forward`` scales: a training step's batch whole, a held-out
+    sweep one backbone chunk at a time. A float array is model input as
+    it is.
     """
 
     train_x: np.ndarray
@@ -146,14 +148,18 @@ class SplitData:
 
 
 def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
-    """Untracked loss and prediction sweep in fixed order; overflow raises."""
+    """Untracked loss and prediction sweep in fixed order; overflow raises.
+
+    Each batch of ``_SWEEP_BATCH`` images goes to ``model_forward`` as
+    ``x`` holds it, decoder bytes or float, so a streamed forward scales
+    one chunk of it at a time.
+    """
     total_loss = 0.0
     preds = np.empty(len(y), dtype=np.int64)
     for start in range(0, len(y), _SWEEP_BATCH):
-        xb = model_input(x[start:start + _SWEEP_BATCH])
         yb = y[start:start + _SWEEP_BATCH]
         with np.errstate(over="raise", invalid="raise"):
-            logits = model_forward(model, Tensor(xb))
+            logits = model_forward(model, Tensor(x[start:start + _SWEEP_BATCH]))
         total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
         preds[start:start + len(yb)] = np.argmax(
             logits.data.reshape(len(yb), -1), axis=1)
@@ -166,16 +172,17 @@ def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
     """One Adam step on one batch; returns (loss, correct predictions).
 
     The batch is rows ``batch`` of ``x`` and ``y``, all rows by default.
-    The step gathers and scales it inside the forward call, so no frame
-    holds it once the forward pass returns. Its tape watches leaves that
-    share ``model``'s arrays, so Adam updates ``model``. The sweep frees
-    each backward rule's saved arrays once the rule has run, and the tape,
-    logits, loss and gradients die when the step returns.
+    The step gathers it inside the forward call, which scales it, so no
+    frame holds either copy once the forward pass returns. Its tape
+    watches leaves that share ``model``'s arrays, so Adam updates
+    ``model``. The sweep frees each backward rule's saved arrays once the
+    rule has run, and the tape, logits, loss and gradients die when the
+    step returns.
     """
     yb = y[batch]
     tape = Tape()
     watched = model.watch_trainable(tape)
-    logits = model_forward(watched, Tensor(model_input(x[batch])))
+    logits = model_forward(watched, Tensor(x[batch]))
     loss = softmax_cross_entropy(logits, yb)
     loss_value = loss.item()
     if not np.isfinite(loss_value):

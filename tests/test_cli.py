@@ -441,16 +441,31 @@ class TestParser:
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_one_command_parser_matches_full_parser(self, command):
+        # The one-command parser reads what follows the command name into
+        # the full parser's namespace, less the full parser's "command".
         one, full = build_parser(command), build_parser()
         argv = COMMAND_ARGV[command]
-        assert one.parse_args(argv) == full.parse_args(argv)
-        assert (subcommand_parsers(one)[command].format_help()
+        want = full.parse_args(argv)
+        assert want.command == command
+        del want.command
+        assert one.parse_args(argv[1:]) == want
+        assert (one.format_help()
                 == subcommand_parsers(full)[command].format_help())
-        assert one.format_usage() == full.format_usage()
 
     def test_only_the_named_command_is_built(self):
-        assert list(subcommand_parsers(build_parser("predict"))) == ["predict"]
+        one = build_parser("predict")
+        assert one.prog == "fabnet predict"
+        assert not any(isinstance(a, argparse._SubParsersAction)
+                       for a in one._actions)
         assert list(subcommand_parsers(build_parser())) == list(COMMANDS)
+
+    def test_unrecognized_argument_shows_the_command_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: fabnet gradcheck [-h] [--seed SEED]\n"
+            "fabnet gradcheck: error: unrecognized arguments: --bogus\n")
 
     def test_main_reads_the_command_from_sys_argv(self, tmp_path,
                                                   monkeypatch):

@@ -15,6 +15,7 @@ import pytest
 import fabnet.model
 import fabnet.training
 from fabnet.attention import FabActivations
+from fabnet.data import model_input
 from fabnet.errors import ConfigError, FormatError, GraphError, ShapeError
 from fabnet.model import (MAX_INPUT_EXTENT, ConvBlockSpec, ModelConfig,
                           build_model, conv2d, feature_map_size,
@@ -245,7 +246,8 @@ class TestObserver:
 # of two, whose first conv runs in row bands with a short last band; and
 # three blocks at 24x12, whose first conv runs in 21-row bands and whose
 # others take 3 and 14 images per column block, so the chunk is their least
-# common multiple, 42, and not the largest block.
+# common multiple, 42, and not the largest block; and the default config
+# without the attention block, whose streamed forward gates nothing.
 CHUNK_CONFIGS = [
     (ModelConfig(), 4),
     (ModelConfig(input_size=(16, 16),
@@ -262,6 +264,7 @@ CHUNK_CONFIGS = [
                  blocks=(ConvBlockSpec(4), ConvBlockSpec(8),
                          ConvBlockSpec(8, pool=False)),
                  fab_ratio=4, head_hidden=8), 42),
+    (ModelConfig(use_fab=False), 4),
 ]
 
 
@@ -270,15 +273,23 @@ class TestChunkedForward:
 
     @pytest.mark.parametrize("cfg, chunk", CHUNK_CONFIGS,
                              ids=["default", "criterion6", "24x24", "20x14",
-                                  "24x12"])
+                                  "24x12", "no_fab"])
     def test_logits_are_the_whole_batch_bytes(self, cfg, chunk):
         assert fabnet.model._chunk_images(cfg) == chunk
         m = build_model(cfg, seed=40)
         h, w = cfg.input_size
-        x = np.random.default_rng(41).uniform(0, 1, (100, h, w, 3))
+        rng = np.random.default_rng(41)
+        x = rng.uniform(0, 1, (100, h, w, 3))
+        # Decoder bytes are scaled inside the forward, a chunk at a time
+        # when it streams, with the bytes of their float twin's forward.
+        pixels = rng.integers(0, 256, (100, h, w, 3), dtype=np.uint8)
         for n in (1, chunk - 1, chunk, chunk + 1, 50, 100):
             got = model_forward(m, Tensor(x[:n])).data
             want = whole_batch_forward(m, Tensor(x[:n])).data
+            assert got.tobytes() == want.tobytes(), n
+            got = model_forward(m, Tensor(pixels[:n])).data
+            want = whole_batch_forward(
+                m, Tensor(model_input(pixels[:n]))).data
             assert got.tobytes() == want.tobytes(), n
 
     def test_untracked_convs_run_chunk_by_chunk(self, monkeypatch):

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fabnet.model
 import fabnet.training
 from fabnet.data import load_manifest, load_samples, stratified_split, synth_generate
 from fabnet.model import save_checkpoint
@@ -219,22 +220,32 @@ class TestTrainLoop:
         assert peak <= 10 * 2**20
 
     def test_scaled_batch_freed_before_backward(self, monkeypatch):
-        # A step scales its decoder-byte batch itself, so the float64 copy
-        # the forward pass reads is gone when the backward sweep starts:
-        # 384 KiB at the default step, 18.4 MiB at 224x224 with batch 16.
+        # A step's forward scales its decoder-byte batch, so neither the
+        # gathered bytes nor the float64 copy the forward pass reads is
+        # alive when the backward sweep starts: the copy is 384 KiB at the
+        # default step, 18.4 MiB at 224x224 with batch 16.
         inputs, alive = [], []
         real_forward = fabnet.training.model_forward
+        real_scale = fabnet.model.model_input
         real_backward = fabnet.training.tape_backward
 
         def forward(m, x, *args):
             inputs.append(weakref.ref(x.data))
             return real_forward(m, x, *args)
 
+        def scale(x):
+            scaled = real_scale(x)
+            inputs.append(weakref.ref(scaled))
+            return scaled
+
         def spy_backward(tape, loss):
-            alive.append(inputs[-1]() is not None)
+            assert len(inputs) == 2
+            alive.append(any(ref() is not None for ref in inputs))
+            inputs.clear()
             return real_backward(tape, loss)
 
         monkeypatch.setattr(fabnet.training, "model_forward", forward)
+        monkeypatch.setattr(fabnet.model, "model_input", scale)
         monkeypatch.setattr(fabnet.training, "tape_backward", spy_backward)
         data = tiny_data(seed=6)
         pixels = np.rint(data.train_x * 255).astype(np.uint8)
@@ -305,6 +316,19 @@ class TestTrainLoop:
         x = np.random.default_rng(3).uniform(0, 1, (1, 224, 224, 3))
         peak = _traced_peak(lambda: model_forward(m, Tensor(x)))
         assert peak < 12 * 2**20
+
+    def test_sweep_of_decoder_bytes_holds_one_feature_map(self):
+        # A sweep batch of 64 decoder-byte images streams through all but
+        # the dense layers, scaling one chunk of input at a time: about
+        # 6.2 MiB at 96x96, where the whole float64 batch, the concatenated
+        # chunks and the attention block's two whole-batch outputs peaked
+        # at about 27.1 MiB.
+        m = build_model(ModelConfig(input_size=(96, 96)), seed=0)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 256, (64, 96, 96, 3), dtype=np.uint8)
+        y = rng.integers(0, 5, 64)
+        peak = _traced_peak(lambda: _forward_dataset(m, x, y))
+        assert peak <= 10 * 2**20
 
     def test_needs_an_epoch(self):
         with pytest.raises(ConfigError, match="max_epochs"):
