@@ -368,39 +368,32 @@ def _chunk_images(cfg: ModelConfig) -> int:
     return chunk
 
 
-def _backbone(m: Model, t: Tensor, observe=None) -> Tensor:
+def _backbone(m: Model, t: Tensor) -> Tensor:
     """Every conv block in order: conv, then 2x2 pool if the block pools, ReLU."""
     for i, blk in enumerate(m.config.blocks):
         t = conv2d(t, m.params[f"block{i}.conv.weight"],
                    m.params[f"block{i}.conv.bias"])
-        if observe is not None:
-            observe(f"block{i}.conv", t)
         if blk.pool:
             t = maxpool2x2(t)
         t = relu(t)
     return t
 
 
-def _head(m: Model, pooled: Tensor, observe=None) -> Tensor:
+def _head(m: Model, pooled: Tensor) -> Tensor:
     """The dense classifier on (N,1,1,C) channel means: hidden, ReLU, out."""
     t = dense(pooled, m.params["head.hidden.weight"],
               m.params["head.hidden.bias"])
-    if observe is not None:
-        observe("head.hidden", t)
     return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
 
 
-def _tail(m: Model, t: Tensor, observe=None) -> Tensor:
+def _tail(m: Model, t: Tensor) -> Tensor:
     """Attention block, spatial mean and head over the whole batch at once.
 
     The head's dense layers are not bit-stable across row blocks.
     """
     if m.config.use_fab:
-        acts = fab_forward(t, m.params)
-        if observe is not None:
-            observe("fab", acts)
-        t = acts.out
-    return _head(m, mean_spatial(t), observe)
+        t = fab_forward(t, m.params).out
+    return _head(m, mean_spatial(t))
 
 
 def _streamed_forward(m: Model, x: np.ndarray, chunk: int) -> Tensor:
@@ -412,19 +405,24 @@ def _streamed_forward(m: Model, x: np.ndarray, chunk: int) -> Tensor:
     each chunk is then gated and reduced to its channel means before the
     next is. Only the dense layers see the whole batch at once: every
     other op is bit-stable across images, so the bytes are the whole-batch
-    forward's.
+    forward's. An empty batch runs one empty chunk.
     """
     n = len(x)
+    starts = range(0, max(n, 1), chunk)
     features = None
-    for start in range(0, n, chunk):
+    for start in starts:
         out = _backbone(m, Tensor(model_input(x[start:start + chunk]))).data
         if features is None:
             features = np.empty((n,) + out.shape[1:], dtype=out.dtype)
         features[start:start + chunk] = out
     gate = (fab_gate(Tensor(features), m.params)[-1].data
             if m.config.use_fab else None)
-    pooled = np.empty((n, 1, 1, features.shape[3]), dtype=features.dtype)
-    for start in range(0, n, chunk):
+    # The gated map is as wide as the gate, which complex (complex-step
+    # checks) or float64 gate weights on float32 features make wider.
+    pooled = np.empty((n, 1, 1, features.shape[3]),
+                      dtype=features.dtype if gate is None
+                      else np.result_type(features, gate))
+    for start in starts:
         t = Tensor(features[start:start + chunk])
         if gate is not None:
             t = fab_apply(t, Tensor(gate[start:start + chunk]))
@@ -432,7 +430,7 @@ def _streamed_forward(m: Model, x: np.ndarray, chunk: int) -> Tensor:
     return _head(m, Tensor(pooled))
 
 
-def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
+def model_forward(m: Model, x: Tensor) -> Tensor:
     """Logits (N,1,1,num_classes) for a batch of (N,H,W,3) images.
 
     ``x`` holds model input, or ``uint8`` decoder bytes that it scales
@@ -443,32 +441,24 @@ def model_forward(m: Model, x: Tensor, observe=None) -> Tensor:
     bit) at a quarter of the ReLU work. Gradients differ at most in the
     sign of exact zeros, which the following sums erase.
 
-    An untracked forward (``x`` and every parameter untracked, no
-    observer) of over one chunk of images (``_chunk_images``) streams
-    depth-first, a chunk at a time (Alwani et al., "Fused-Layer CNN
-    Accelerators", MICRO 2016), with the whole-batch forward's bytes: it
-    holds one chunk of float input and one feature map, and only the
-    dense layers see the whole batch (``_streamed_forward``). Any other
-    forward scales a byte input once, whole.
-
-    ``observe(name, value)``, if given, sees in order each block's conv
-    output before pool and ReLU as ``"block<i>.conv"``, the attention
-    block's ``FabActivations`` as ``"fab"`` and the head's hidden
-    pre-activation as ``"head.hidden"``. An observed forward runs whole
-    batch, so each value covers every image. Off, it costs one test per
-    block.
+    An untracked forward (``x`` and every parameter untracked), of any
+    batch size, streams depth-first a chunk of images (``_chunk_images``)
+    at a time (Alwani et al., "Fused-Layer CNN Accelerators", MICRO 2016):
+    it holds one chunk of float input and one feature map, and only the
+    dense layers see the whole batch (``_streamed_forward``). A tracked
+    forward scales a byte input once and runs ``_backbone`` then ``_tail``
+    over the whole batch, so backward sees one node per op; both give the
+    same bytes.
     """
-    n, h, w, c = x.shape
+    _, h, w, c = x.shape
     if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
         raise ShapeError(f"input {x.shape} does not match configured "
                          f"size {m.config.input_size} x {m.config.in_channels}")
-    chunk = _chunk_images(m.config)
-    if (observe is None and n > chunk
-            and not any(v.tracked for v in (x, *m.params.values()))):
-        return _streamed_forward(m, x.data, chunk)
+    if not any(v.tracked for v in (x, *m.params.values())):
+        return _streamed_forward(m, x.data, _chunk_images(m.config))
     if x.data.dtype == np.uint8:
         x = Tensor(model_input(x.data))
-    return _tail(m, _backbone(m, x, observe), observe)
+    return _tail(m, _backbone(m, x))
 
 
 def trainable_parameters(m: Model) -> list:

@@ -151,8 +151,8 @@ def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
     """Untracked loss and prediction sweep in fixed order; overflow raises.
 
     Each batch of ``_SWEEP_BATCH`` images goes to ``model_forward`` as
-    ``x`` holds it, decoder bytes or float, so a streamed forward scales
-    one chunk of it at a time.
+    ``x`` holds it, decoder bytes or float, and the untracked forward
+    streams, scaling one chunk of it at a time.
     """
     total_loss = 0.0
     preds = np.empty(len(y), dtype=np.int64)

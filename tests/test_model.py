@@ -14,11 +14,10 @@ import pytest
 
 import fabnet.model
 import fabnet.training
-from fabnet.attention import FabActivations
 from fabnet.data import model_input
 from fabnet.errors import ConfigError, FormatError, GraphError, ShapeError
-from fabnet.model import (MAX_INPUT_EXTENT, ConvBlockSpec, ModelConfig,
-                          build_model, conv2d, feature_map_size,
+from fabnet.model import (MAX_INPUT_EXTENT, ConvBlockSpec, Model,
+                          ModelConfig, build_model, conv2d, feature_map_size,
                           load_checkpoint, maxpool2x2, model_forward,
                           parse_blocks, save_checkpoint, trainable_parameters,
                           validate_config)
@@ -202,45 +201,6 @@ class TestBlockOrder:
         assert runs[0] == runs[1]
 
 
-class TestObserver:
-    """model_forward's observer sees the forward's own stages, in order."""
-
-    def test_observed_run_matches_plain_run(self):
-        m, x = _kinked_model_and_batch()
-        seen = []
-
-        def observed(m, xt):
-            return model_forward(m, xt, lambda name, value: seen.append(name))
-
-        logits, grads, grad_x = _logits_and_grads(model_forward, m, x)
-        obs_logits, obs_grads, obs_grad_x = _logits_and_grads(observed, m, x)
-        assert obs_logits.tobytes() == logits.tobytes()
-        for name in m.params:
-            assert obs_grads[name].tobytes() == grads[name].tobytes(), name
-        assert obs_grad_x.tobytes() == grad_x.tobytes()
-        assert seen == ["block0.conv", "block1.conv", "fab", "head.hidden"]
-
-    def test_values_are_the_stages(self):
-        m, x = _kinked_model_and_batch()
-        seen = {}
-        model_forward(m, Tensor(x), seen.__setitem__)
-        conv0 = conv2d(Tensor(x), m.params["block0.conv.weight"],
-                       m.params["block0.conv.bias"])
-        assert seen["block0.conv"].data.tobytes() == conv0.data.tobytes()
-        assert seen["block1.conv"].shape == (4, 4, 4, 8)
-        assert isinstance(seen["fab"], FabActivations)
-        assert seen["fab"].out.shape == (4, 2, 2, 8)
-        assert seen["head.hidden"].shape == (4, 1, 1, 8)
-        assert np.any(seen["head.hidden"].data < 0.0)   # before its ReLU
-
-    def test_no_fab_stage_without_attention(self):
-        seen = []
-        m = build_model(replace(TINY, use_fab=False), seed=35)
-        model_forward(m, Tensor(np.zeros((2, 8, 8, 3))),
-                      lambda name, value: seen.append(name))
-        assert seen == ["block0.conv", "block1.conv", "head.hidden"]
-
-
 # (config, images per chunk): the default config and criterion 6's, whose
 # chunk is their last conv's column block; two extents that are not powers
 # of two, whose first conv runs in row bands with a short last band; and
@@ -304,10 +264,28 @@ class TestChunkedForward:
         m = build_model(ModelConfig(), seed=42)
         model_forward(m, Tensor(np.zeros((50, 32, 32, 3))))
         assert batches == [4] * 36 + [2] * 3
-        batches.clear()
-        model_forward(m, Tensor(np.zeros((50, 32, 32, 3))),
-                      lambda name, value: None)
-        assert batches == [50] * 3   # observed: whole batch
+        for n in (1, 4):   # one image, and one whole chunk
+            batches.clear()
+            model_forward(m, Tensor(np.zeros((n, 32, 32, 3))))
+            assert batches == [n] * 3
+
+    def test_complex_gate_weights_survive_streaming(self):
+        # A complex-step check of a gate weight widens the gated map past
+        # the real feature map; over one chunk, the streamed forward must
+        # keep the imaginary part.
+        m = build_model(TINY, seed=53)
+        chunk = fabnet.model._chunk_images(TINY)
+        rng = np.random.default_rng(54)
+        x = Tensor(rng.uniform(0, 1, (chunk + 1, 8, 8, 3)))
+        labels = rng.integers(0, TINY.num_classes, chunk + 1)
+
+        def loss(leaf):
+            swapped = Model(m.config, m.class_names,
+                            {**m.params, "fab.expand.weight": leaf},
+                            m.trainable)
+            return softmax_cross_entropy(model_forward(swapped, x), labels)
+
+        assert grad_check(loss, m.params["fab.expand.weight"]) < 1e-5
 
     @pytest.mark.parametrize("watch", ["parameters", "input"])
     def test_tracked_forward_runs_whole_batch(self, watch):
@@ -358,13 +336,12 @@ class TestChunkedForward:
 
 
 def _watched_run(m, forward, x, labels):
-    """Logits, observer names and trainable gradients, as bytes."""
-    seen = []
+    """Logits and trainable gradients, as bytes."""
     tape = Tape()
     w = m.watch_trainable(tape)
-    logits = forward(w, Tensor(x), lambda name, value: seen.append(name))
+    logits = forward(w, Tensor(x))
     grads = backward(tape, softmax_cross_entropy(logits, labels))
-    return (logits.data.tobytes(), seen,
+    return (logits.data.tobytes(),
             {name: grads[t.node_id].data.tobytes()
              for name, t in trainable_parameters(w)})
 
@@ -382,14 +359,12 @@ class TestTail:
         x = rng.uniform(0, 1, (20, h, w, 3))
         labels = rng.integers(0, cfg.num_classes, 20)
 
-        def halves(m, xt, observe):
-            t = fabnet.model._backbone(m, xt, observe)
-            return fabnet.model._tail(m, t, observe)
+        def halves(m, xt):
+            return fabnet.model._tail(m, fabnet.model._backbone(m, xt))
 
         whole = _watched_run(m, model_forward, x, labels)
         assert _watched_run(m, halves, x, labels) == whole
-        assert whole[1][-1] == "head.hidden"
-        assert len(whole[2]) == len(m.params)
+        assert len(whole[1]) == len(m.params)
 
     @pytest.mark.parametrize("use_fab", [True, False], ids=["fab", "no_fab"])
     def test_frozen_tail_ignores_where_its_feature_map_came_from(self,
@@ -407,17 +382,14 @@ class TestTail:
             fabnet.model._backbone(m, Tensor(x[start:start + chunk])).data
             for start in range(0, 50, chunk)])
 
-        def cached(m, xt, observe):
+        def cached(m, xt):
             return fabnet.model._tail(m, Tensor(features))
 
-        def unobserved(m, xt, observe):
-            return model_forward(m, xt)
-
         got = _watched_run(m, cached, x, labels)
-        want = _watched_run(m, unobserved, x, labels)
+        want = _watched_run(m, model_forward, x, labels)
         assert got[0] == want[0]
-        assert got[2] == want[2]
-        assert len(got[2]) == (8 if use_fab else 4)
+        assert got[1] == want[1]
+        assert len(got[1]) == (8 if use_fab else 4)
 
 
 class TestConv2d:
