@@ -18,17 +18,6 @@ from .tensor import Tensor, dense, ew_add, ew_mul, mean_spatial, relu, sigmoid
 
 
 @dataclass(frozen=True)
-class FabActivations:
-    """Intermediate results of one block application."""
-
-    pooled: Tensor     # (N, 1, 1, C) spatial means
-    bottleneck: Tensor  # (N, 1, 1, C/ratio) bottleneck pre-activation
-    reduced: Tensor    # (N, 1, 1, C/ratio) after bottleneck + ReLU
-    gate: Tensor       # (N, 1, 1, C) sigmoid output, strictly in (0, 1)
-    out: Tensor        # (N, H, W, C) input scaled by gate, plus input
-
-
-@dataclass(frozen=True)
 class GateStats:
     """Per-channel min/mean/max of the gate over the batch."""
 
@@ -67,40 +56,31 @@ def fab_init(channels: int, ratio: int, rng: np.random.Generator) -> dict:
             "fab.expand.bias": Tensor(np.zeros((1, 1, 1, channels)))}
 
 
-def fab_gate(x: Tensor, params: dict) -> tuple:
-    """(pooled, bottleneck, reduced, gate) of the block over (N,H,W,C) input.
+def fab_gate(x: Tensor, params: dict) -> Tensor:
+    """The block's (N,1,1,C) gate over (N,H,W,C) input, strictly in (0, 1).
 
     gate = sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2), with the
     weights read from ``params``'s ``fab.*`` entries (a model's ``params``
     will do; other entries are ignored).
     """
-    pooled = mean_spatial(x)
-    bottleneck = dense(pooled, params["fab.reduce.weight"],
-                       params["fab.reduce.bias"])
-    reduced = relu(bottleneck)
-    gate = sigmoid(dense(reduced, params["fab.expand.weight"],
+    reduced = relu(dense(mean_spatial(x), params["fab.reduce.weight"],
+                         params["fab.reduce.bias"]))
+    return sigmoid(dense(reduced, params["fab.expand.weight"],
                          params["fab.expand.bias"]))
-    return pooled, bottleneck, reduced, gate
 
 
-def fab_apply(x: Tensor, gate: Tensor) -> Tensor:
-    """x * gate + x for (N,H,W,C) ``x`` and its (N,1,1,C) ``gate``."""
-    return ew_add(ew_mul(x, gate), x)
+def fab_forward(x: Tensor, params: dict) -> Tensor:
+    """Apply the attention block to (N,H,W,C) input: x * fab_gate(x) + x.
 
-
-def fab_forward(x: Tensor, params: dict) -> FabActivations:
-    """Apply the attention block to (N,H,W,C) input.
-
-    out = x + sigmoid(W2 . relu(W1 . spatial_mean(x) + b1) + b2) * x:
-    ``fab_gate``, then ``fab_apply``.
+    The gate is one scalar per image and channel, so the block commutes
+    with a spatial mean up to rounding: on the map's (N,1,1,C) channel
+    means it gives the same gate and the means of its output on the map.
     """
-    pooled, bottleneck, reduced, gate = fab_gate(x, params)
-    return FabActivations(pooled=pooled, bottleneck=bottleneck, reduced=reduced,
-                          gate=gate, out=fab_apply(x, gate))
+    return ew_add(ew_mul(x, fab_gate(x, params)), x)
 
 
-def fab_gate_stats(acts: FabActivations) -> GateStats:
-    """Summarize the gate per channel across the batch."""
-    g = acts.gate.data.reshape(acts.gate.shape[0], -1)
+def fab_gate_stats(gate: Tensor) -> GateStats:
+    """Summarize an (N,1,1,C) gate per channel across the batch."""
+    g = gate.data.reshape(gate.shape[0], -1)
     return GateStats(minimum=g.min(axis=0), mean=g.mean(axis=0),
                      maximum=g.max(axis=0))

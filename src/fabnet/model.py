@@ -3,8 +3,11 @@
 The network is a stack of 3x3 same-padded conv blocks, each conv → ReLU
 or, where the block pools, conv → 2x2 max pool → ReLU: the same function
 as VGG's conv → ReLU → pool, since ReLU is monotone, with the ReLU run on
-a quarter of the elements. The channel-attention block follows the final
-feature map, then a spatial mean and a two-layer dense classifier.
+a quarter of the elements. The final feature map is reduced to its
+channel means, which pass through the channel-attention block and a
+two-layer dense classifier: the block's gate is one scalar per image and
+channel, so gating the means is gating the map and then averaging it, up
+to rounding.
 Per-parameter trainable flags realize backbone freezing for transfer
 learning.
 """
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .attention import (fab_apply, fab_forward, fab_gate, fab_init,
-                        glorot_uniform, he_uniform)
+from .attention import fab_forward, fab_init, glorot_uniform, he_uniform
 from .data import model_input
 from .errors import ConfigError, FormatError, ShapeError, decode_utf8
 from .tensor import Tape, Tensor, dense, mean_spatial, relu, _emit
@@ -386,48 +388,30 @@ def _head(m: Model, pooled: Tensor) -> Tensor:
     return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
 
 
-def _tail(m: Model, t: Tensor) -> Tensor:
-    """Attention block, spatial mean and head over the whole batch at once.
+def _tail(m: Model, pooled: Tensor) -> Tensor:
+    """Attention block, then head, on (N,1,1,C) channel means at once.
 
-    The head's dense layers are not bit-stable across row blocks.
+    Their dense layers are not bit-stable across row blocks, so they see
+    the whole batch.
     """
     if m.config.use_fab:
-        t = fab_forward(t, m.params).out
-    return _head(m, mean_spatial(t))
+        pooled = fab_forward(pooled, m.params)
+    return _head(m, pooled)
 
 
 def _streamed_forward(m: Model, x: np.ndarray, chunk: int) -> Tensor:
-    """Untracked logits of ``x`` with ``_tail``'s bytes, a chunk at a time.
+    """Untracked logits of ``x`` with the tracked forward's bytes.
 
-    Each chunk of ``x`` is scaled (``model_input``) and run through the
-    backbone into one feature map for the batch. The attention gate needs
-    the whole map's channel means, so it is computed once over the batch;
-    each chunk is then gated and reduced to its channel means before the
-    next is. Only the dense layers see the whole batch at once: every
-    other op is bit-stable across images, so the bytes are the whole-batch
-    forward's. An empty batch runs one empty chunk.
+    Each chunk of ``x`` is scaled (``model_input``), run through the
+    backbone and reduced to its channel means before the next is, and
+    ``_tail`` runs once over the batch's means. Every op before the
+    dense layers is bit-stable across images, so the bytes are the
+    whole-batch forward's. An empty batch runs one empty chunk.
     """
-    n = len(x)
-    starts = range(0, max(n, 1), chunk)
-    features = None
-    for start in starts:
-        out = _backbone(m, Tensor(model_input(x[start:start + chunk]))).data
-        if features is None:
-            features = np.empty((n,) + out.shape[1:], dtype=out.dtype)
-        features[start:start + chunk] = out
-    gate = (fab_gate(Tensor(features), m.params)[-1].data
-            if m.config.use_fab else None)
-    # The gated map is as wide as the gate, which complex (complex-step
-    # checks) or float64 gate weights on float32 features make wider.
-    pooled = np.empty((n, 1, 1, features.shape[3]),
-                      dtype=features.dtype if gate is None
-                      else np.result_type(features, gate))
-    for start in starts:
-        t = Tensor(features[start:start + chunk])
-        if gate is not None:
-            t = fab_apply(t, Tensor(gate[start:start + chunk]))
-        pooled[start:start + chunk] = mean_spatial(t).data
-    return _head(m, Tensor(pooled))
+    chunks = (Tensor(model_input(x[start:start + chunk]))
+              for start in range(0, max(len(x), 1), chunk))
+    pooled = np.concatenate([mean_spatial(_backbone(m, t)).data for t in chunks])
+    return _tail(m, Tensor(pooled))
 
 
 def model_forward(m: Model, x: Tensor) -> Tensor:
@@ -444,11 +428,11 @@ def model_forward(m: Model, x: Tensor) -> Tensor:
     An untracked forward (``x`` and every parameter untracked), of any
     batch size, streams depth-first a chunk of images (``_chunk_images``)
     at a time (Alwani et al., "Fused-Layer CNN Accelerators", MICRO 2016):
-    it holds one chunk of float input and one feature map, and only the
-    dense layers see the whole batch (``_streamed_forward``). A tracked
-    forward scales a byte input once and runs ``_backbone`` then ``_tail``
-    over the whole batch, so backward sees one node per op; both give the
-    same bytes.
+    it holds one chunk of float input and of feature maps, and only the
+    channel means, C values per image, reach ``_tail`` for the whole batch
+    (``_streamed_forward``). A tracked forward scales a byte input once
+    and runs ``_backbone``, ``mean_spatial`` and ``_tail`` over the whole
+    batch, so backward sees one node per op; both give the same bytes.
     """
     _, h, w, c = x.shape
     if (h, w) != tuple(m.config.input_size) or c != m.config.in_channels:
@@ -458,7 +442,7 @@ def model_forward(m: Model, x: Tensor) -> Tensor:
         return _streamed_forward(m, x.data, _chunk_images(m.config))
     if x.data.dtype == np.uint8:
         x = Tensor(model_input(x.data))
-    return _tail(m, _backbone(m, x))
+    return _tail(m, mean_spatial(_backbone(m, x)))
 
 
 def trainable_parameters(m: Model) -> list:

@@ -152,7 +152,8 @@ def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
 
     Each batch of ``_SWEEP_BATCH`` images goes to ``model_forward`` as
     ``x`` holds it, decoder bytes or float, and the untracked forward
-    streams, scaling one chunk of it at a time.
+    streams, scaling one chunk of it at a time and keeping only its
+    channel means for the batch.
     """
     total_loss = 0.0
     preds = np.empty(len(y), dtype=np.int64)

@@ -214,9 +214,9 @@ def relu_then_pool_forward(m, x):
                         m.params[f"block{i}.conv.bias"]))
         if blk.pool:
             t = maxpool2x2(t)
-    if m.config.use_fab:
-        t = fab_forward(t, m.params).out
     t = mean_spatial(t)
+    if m.config.use_fab:
+        t = fab_forward(t, m.params)
     t = relu(dense(t, m.params["head.hidden.weight"],
                    m.params["head.hidden.bias"]))
     return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])
@@ -236,9 +236,10 @@ def whole_batch_forward(m, x):
         if blk.pool:
             t = maxpool2x2(t)
         t = relu(t)
+    t = mean_spatial(t)
     if m.config.use_fab:
-        t = fab_forward(t, m.params).out
-    t = relu(dense(mean_spatial(t), m.params["head.hidden.weight"],
+        t = fab_forward(t, m.params)
+    t = relu(dense(t, m.params["head.hidden.weight"],
                    m.params["head.hidden.bias"]))
     return dense(t, m.params["head.out.weight"], m.params["head.out.bias"])
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fabnet.attention import fab_forward, fab_init
+from fabnet.attention import fab_forward, fab_gate, fab_init
 from fabnet.cli import main
 from fabnet.data import (DatasetManifest, load_manifest, load_samples,
                          stratified_split, synth_generate)
@@ -61,10 +61,10 @@ def test_criterion_2_attention_closed_forms():
     base = fab_init(8, 4, rng)
 
     x = Tensor(rng.uniform(-2.0, 2.0, size=(2, 4, 4, 8)))
-    low = fab_forward(x, saturated(base, -1000.0)).out.data
+    low = fab_forward(x, saturated(base, -1000.0)).data
     residual_err = np.abs(low - x.data).max() / np.abs(x.data).max()
 
-    half = fab_forward(x, saturated(base, 0.0)).out.data
+    half = fab_forward(x, saturated(base, 0.0)).data
     half_err = np.abs(half - 1.5 * x.data).max()
 
     gate_ok = shape_ok = True
@@ -75,10 +75,9 @@ def test_criterion_2_attention_closed_forms():
                  int(trial_rng.integers(1, 5)), c)
         params = fab_init(c, 4, trial_rng)
         xt = Tensor(trial_rng.uniform(-2.0, 2.0, size=shape))
-        acts = fab_forward(xt, params)
-        gate_ok &= bool(np.all(acts.gate.data > 0.0)
-                        and np.all(acts.gate.data < 1.0))
-        shape_ok &= acts.out.data.shape == shape
+        gate = fab_gate(xt, params).data
+        gate_ok &= bool(np.all(gate > 0.0) and np.all(gate < 1.0))
+        shape_ok &= fab_forward(xt, params).data.shape == shape
 
     ok = residual_err < 1e-6 and half_err < 1e-12 and gate_ok and shape_ok
     report(2, ok, f"saturated-low residual {residual_err:.2e} < 1e-6; "
@@ -97,7 +96,7 @@ def test_criterion_3_brute_force_equivalence():
         x = rng.uniform(-2, 2, size=(int(rng.integers(1, 3)),
                                      int(rng.integers(1, 4)),
                                      int(rng.integers(1, 4)), c))
-        got = fab_forward(Tensor(x), p).out.data
+        got = fab_forward(Tensor(x), p).data
         want = attention_oracle(x, p["fab.reduce.weight"].data,
                                 p["fab.reduce.bias"].data,
                                 p["fab.expand.weight"].data,

@@ -22,7 +22,7 @@ from fabnet.model import (MAX_INPUT_EXTENT, ConvBlockSpec, Model,
                           parse_blocks, save_checkpoint, trainable_parameters,
                           validate_config)
 from fabnet.tensor import (Tape, Tensor, _Node, backward, ew_mul, grad_check,
-                           sum_all, tensor_new)
+                           mean_spatial, sum_all, tensor_new)
 from fabnet.training import (AdamState, SplitData, TrainConfig, adam_step,
                              softmax_cross_entropy, train)
 from checkpoint_faults import CHECKPOINT_FAULTS, split_records
@@ -347,7 +347,7 @@ def _watched_run(m, forward, x, labels):
 
 
 class TestTail:
-    """model_forward is _backbone then _tail."""
+    """model_forward is _backbone, mean_spatial, then _tail."""
 
     @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(use_fab=False),
                                      CHUNK_CONFIGS[1][0]],
@@ -360,7 +360,8 @@ class TestTail:
         labels = rng.integers(0, cfg.num_classes, 20)
 
         def halves(m, xt):
-            return fabnet.model._tail(m, fabnet.model._backbone(m, xt))
+            return fabnet.model._tail(
+                m, mean_spatial(fabnet.model._backbone(m, xt)))
 
         whole = _watched_run(m, model_forward, x, labels)
         assert _watched_run(m, halves, x, labels) == whole
@@ -369,8 +370,9 @@ class TestTail:
     @pytest.mark.parametrize("use_fab", [True, False], ids=["fab", "no_fab"])
     def test_frozen_tail_ignores_where_its_feature_map_came_from(self,
                                                                  use_fab):
-        # A frozen step's tail gives the same bytes fed with the chunked
-        # untracked backbone's output, so that output can be cached.
+        # A frozen step's tail gives the same bytes fed with the channel
+        # means of the chunked untracked backbone's output, so those means
+        # can be cached.
         cfg = ModelConfig(use_fab=use_fab, freeze_backbone=True)
         m = build_model(cfg, seed=49)
         rng = np.random.default_rng(50)
@@ -378,12 +380,13 @@ class TestTail:
         labels = rng.integers(0, cfg.num_classes, 50)
         chunk = fabnet.model._chunk_images(cfg)
         assert chunk == 4
-        features = np.concatenate([
-            fabnet.model._backbone(m, Tensor(x[start:start + chunk])).data
+        means = np.concatenate([
+            mean_spatial(fabnet.model._backbone(
+                m, Tensor(x[start:start + chunk]))).data
             for start in range(0, 50, chunk)])
 
         def cached(m, xt):
-            return fabnet.model._tail(m, Tensor(features))
+            return fabnet.model._tail(m, Tensor(means))
 
         got = _watched_run(m, cached, x, labels)
         want = _watched_run(m, model_forward, x, labels)

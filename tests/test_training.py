@@ -318,9 +318,9 @@ class TestTrainLoop:
         assert peak < 12 * 2**20
 
     def test_sweep_of_decoder_bytes_holds_one_feature_map(self):
-        # A sweep batch of 64 decoder-byte images streams through all but
-        # the dense layers, scaling one chunk of input at a time: about
-        # 6.2 MiB at 96x96, where the whole float64 batch, the concatenated
+        # A sweep batch of 64 decoder-byte images streams the backbone a
+        # chunk at a time, scaling one chunk of input at a time: about
+        # 1.7 MiB at 96x96, where the whole float64 batch, the concatenated
         # chunks and the attention block's two whole-batch outputs peaked
         # at about 27.1 MiB.
         m = build_model(ModelConfig(input_size=(96, 96)), seed=0)
@@ -329,6 +329,18 @@ class TestTrainLoop:
         y = rng.integers(0, 5, 64)
         peak = _traced_peak(lambda: _forward_dataset(m, x, y))
         assert peak <= 10 * 2**20
+
+    def test_sweep_of_decoder_bytes_holds_no_whole_batch_feature_map(self):
+        # Only each chunk's channel means, C values per image, outlive the
+        # chunk, and the attention block gates those means: about 1.7 MiB
+        # at 96x96, where a whole-batch (64, 12, 12, 64) final feature map,
+        # gated and then averaged, took the sweep to about 6.2 MiB.
+        m = build_model(ModelConfig(input_size=(96, 96)), seed=0)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 256, (64, 96, 96, 3), dtype=np.uint8)
+        y = rng.integers(0, 5, 64)
+        peak = _traced_peak(lambda: _forward_dataset(m, x, y))
+        assert peak <= 3 * 2**20
 
     def test_needs_an_epoch(self):
         with pytest.raises(ConfigError, match="max_epochs"):
