@@ -381,22 +381,17 @@ def _backbone(m: Model, t: Tensor) -> Tensor:
     return t
 
 
-def _head(m: Model, pooled: Tensor) -> Tensor:
-    """The dense classifier on (N,1,1,C) channel means: hidden, ReLU, out."""
-    t = dense(pooled, m.params["head.hidden.weight"],
-              m.params["head.hidden.bias"])
-    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
-
-
 def _tail(m: Model, pooled: Tensor) -> Tensor:
-    """Attention block, then head, on (N,1,1,C) channel means at once.
+    """Attention block, then hidden, ReLU, out, on (N,1,1,C) channel means.
 
-    Their dense layers are not bit-stable across row blocks, so they see
-    the whole batch.
+    The dense layers are not bit-stable across row blocks, so they see
+    the whole batch, for a held-out sweep the whole split.
     """
     if m.config.use_fab:
         pooled = fab_forward(pooled, m.params)
-    return _head(m, pooled)
+    t = dense(pooled, m.params["head.hidden.weight"],
+              m.params["head.hidden.bias"])
+    return dense(relu(t), m.params["head.out.weight"], m.params["head.out.bias"])
 
 
 def _streamed_forward(m: Model, x: np.ndarray, chunk: int) -> Tensor:

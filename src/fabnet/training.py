@@ -12,9 +12,6 @@ from .errors import ConfigError, DivergenceError, ShapeError
 from .model import Model, ModelConfig, build_model, model_forward, trainable_parameters
 from .tensor import Tape, Tensor, _emit, backward as tape_backward
 
-# Images per validation or eval batch; at 16, val_loss changes in its last digit.
-_SWEEP_BATCH = 64
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -136,9 +133,9 @@ class SplitData:
     """The images and class ids of one train/test split.
 
     An image array of ``uint8`` holds decoder bytes, which
-    ``model_forward`` scales: a training step's batch whole, a held-out
-    sweep one backbone chunk at a time. A float array is model input as
-    it is.
+    ``model_forward`` scales: a training step's batch whole, the held-out
+    split's one untracked forward a backbone chunk at a time. A float
+    array is model input as it is.
     """
 
     train_x: np.ndarray
@@ -148,23 +145,16 @@ class SplitData:
 
 
 def _forward_dataset(model: Model, x: np.ndarray, y: np.ndarray):
-    """Untracked loss and prediction sweep in fixed order; overflow raises.
+    """Untracked loss and predictions of the whole split; overflow raises.
 
-    Each batch of ``_SWEEP_BATCH`` images goes to ``model_forward`` as
-    ``x`` holds it, decoder bytes or float, and the untracked forward
-    streams, scaling one chunk of it at a time and keeping only its
-    channel means for the batch.
+    One ``model_forward`` takes ``x`` as it is, decoder bytes or float;
+    the untracked forward streams it a chunk at a time, and the dense
+    layers see every image's channel means at once.
     """
-    total_loss = 0.0
-    preds = np.empty(len(y), dtype=np.int64)
-    for start in range(0, len(y), _SWEEP_BATCH):
-        yb = y[start:start + _SWEEP_BATCH]
-        with np.errstate(over="raise", invalid="raise"):
-            logits = model_forward(model, Tensor(x[start:start + _SWEEP_BATCH]))
-        total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
-        preds[start:start + len(yb)] = np.argmax(
-            logits.data.reshape(len(yb), -1), axis=1)
-    return total_loss / len(y), preds
+    with np.errstate(over="raise", invalid="raise"):
+        logits = model_forward(model, Tensor(x))
+    loss = softmax_cross_entropy(logits, y).item()
+    return loss, np.argmax(logits.data.reshape(len(y), -1), axis=1)
 
 
 def _train_step(model: Model, x: np.ndarray, y: np.ndarray,
@@ -263,10 +253,8 @@ class MetricsReport:
     precision: np.ndarray
     recall: np.ndarray
     f1: np.ndarray
-    macro_f1: float
     accuracy: float
     top1_error_percent: float
-    zero_division: tuple           # e.g. ("precision:class02",)
 
     def to_csv(self) -> str:
         lines = ["class,precision,recall,f1"]
@@ -283,7 +271,7 @@ class MetricsReport:
 
 
 def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
-    """Confusion matrix and derived metrics; 0/0 ratios become 0, flagged.
+    """Confusion matrix and derived metrics; 0/0 ratios become 0.
 
     ``y_true`` and ``y_pred`` are equally long, non-empty 1-D class ids
     in [0, K), K = ``len(class_names)``.
@@ -312,11 +300,6 @@ def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
     precision = ratio(tp, pred_totals)
     recall = ratio(tp, true_totals)
     f1 = ratio(2.0 * precision * recall, precision + recall)
-    flagged = [f"{metric}:{name}" for i, name in enumerate(class_names)
-               for metric, total in (("precision", pred_totals),
-                                     ("recall", true_totals))
-               if total[i] == 0]
-
     accuracy = float(tp.sum() / len(y_true))
     return MetricsReport(
         class_names=tuple(class_names),
@@ -324,10 +307,8 @@ def metrics_from_predictions(y_true, y_pred, class_names) -> MetricsReport:
         precision=precision,
         recall=recall,
         f1=f1,
-        macro_f1=float(f1.mean()),
         accuracy=accuracy,
         top1_error_percent=100.0 - 100.0 * accuracy,
-        zero_division=tuple(flagged),
     )
 
 

@@ -27,11 +27,10 @@ DEFAULT_TOLERANCE = 1e-5
 class CheckResult:
     name: str
     max_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_error < self.tolerance
+        return self.max_error < DEFAULT_TOLERANCE
 
 
 def _uniform(rng, shape, scale: float = 1.0) -> Tensor:
@@ -123,19 +122,17 @@ CHECKS = (
 )
 
 
-def run_suite(seed: int = 0, n_seeds: int = 5,
-              tolerance: float = DEFAULT_TOLERANCE) -> list:
-    """Run every check over ``n_seeds`` consecutive seeds.
+def run_suite(seed: int = 0) -> list:
+    """Run every check over five consecutive seeds from ``seed``.
 
     Returns one CheckResult per op, holding the max relative error seen.
     """
     results = []
     for name, builder in CHECKS:
         worst = 0.0
-        for s in range(seed, seed + n_seeds):
+        for s in range(seed, seed + 5):
             rng = np.random.default_rng([s, len(results)])
             for f, x in builder(rng):
                 worst = max(worst, grad_check(f, x))
-        results.append(CheckResult(name=name, max_error=worst,
-                                   tolerance=tolerance))
+        results.append(CheckResult(name=name, max_error=worst))
     return results

@@ -47,10 +47,10 @@ def make_split(tmp, classes, per_class, size, seed):
 
 def test_criterion_1_gradient_oracle():
     start = time.time()
-    results = run_suite(seed=0, n_seeds=5, tolerance=1e-5)
+    results = run_suite(seed=0)
     elapsed = time.time() - start
     worst = max(r.max_error for r in results)
-    ok = all(r.passed for r in results) and elapsed < 60.0
+    ok = worst < 1e-5 and elapsed < 60.0
     report(1, ok, f"reverse-mode vs complex-step over 5 seeds: "
                   f"worst {worst:.2e} < 1e-5 across {len(results)} checks, "
                   f"{elapsed:.1f}s < 60s")
